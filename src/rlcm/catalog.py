@@ -156,16 +156,12 @@ def nxn_semigroup():
 def zxz_semigroup():
     D = zxz_zs()
 
-    def decompose(p):
-        u, a = zoo.zxz_decompose(p)
-        return (u, a)
-
     def recompose(e):
         (r, x), (k, j) = e
         return (r + x * k, x * j)
 
     return zoo.zxz_semigroup(
-        right_lcm=_lcm_through_product(D, decompose, recompose))
+        right_lcm=_lcm_through_product(D, zoo.zxz_decompose, recompose))
 
 
 def bs_semigroup(c, d):

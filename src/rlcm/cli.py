@@ -16,36 +16,48 @@ import re
 import sys
 
 from . import boundary, catalog, zoo
-from .core import DISJOINT, BruteForcer, enumerate_ball
+from .core import (DISJOINT, BruteForcer, IncomparableMultiples,
+                   enumerate_ball)
 from .report import FAIL, Report
 from .selfsim import ftheta_right_lcm_survey, theta_build
 from .star import VV, is_foundation_set, mono_display, word_normalize
 from .zs import zs_axiom_check
 
 
+#: Every flag, with its argparse settings; each verb takes only those it
+#: reads.
+FLAGS = {
+    "semigroup": {"default": None},
+    "model": {"default": None},
+    "suite": {"default": None},
+    "radius": {"type": int, "default": 3},
+    "bidegree": {"default": "2,2"},
+    "mode": {"choices": ("exact", "bounded"), "default": "bounded"},
+}
+
+
 def build_parser():
     top = argparse.ArgumentParser(prog="rlcm", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(p, args="*"):
-        p.add_argument("--semigroup", default=None)
-        p.add_argument("--model", default=None)
-        p.add_argument("--suite", default=None)
-        p.add_argument("--radius", type=int, default=3)
-        p.add_argument("--bidegree", default="2,2")
-        p.add_argument("--mode", choices=("exact", "bounded"),
-                       default="bounded")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("args", nargs=args)
+    def verb(name, help_text, *flags, args=None):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        if args is not None:
+            p.add_argument("args", nargs=args)
 
-    common(sub.add_parser("mul", help="multiply elements"), "+")
-    common(sub.add_parser("lcm", help="right LCM of two elements"), 2)
-    common(sub.add_parser("normalize", help="collapse a *-token word"), 1)
-    common(sub.add_parser("check-axioms", help="product matching axioms"))
-    common(sub.add_parser("check-relations", help="relation suites"))
-    common(sub.add_parser("foundation", help="foundation-set check"), "+")
-    common(sub.add_parser("survey-ftheta", help="right-LCM survey"))
-    common(sub.add_parser("decompose", help="factor through the product"), 1)
+    verb("mul", "multiply elements", "semigroup", args="+")
+    verb("lcm", "right LCM of two elements", "semigroup", "radius", args=2)
+    verb("normalize", "collapse a *-token word", "semigroup", "radius",
+         args=1)
+    verb("check-axioms", "product matching axioms", "semigroup", "radius")
+    verb("check-relations", "relation suites", "model", "suite",
+         "semigroup", "radius")
+    verb("foundation", "foundation-set check", "semigroup", "mode",
+         "radius", args="+")
+    verb("survey-ftheta", "right-LCM survey", "semigroup", "bidegree")
+    verb("decompose", "factor through the product", "semigroup", args=1)
     return top
 
 
@@ -141,7 +153,13 @@ def _dispatch(ns):
         sel = _need(ns, "semigroup")
         S = catalog.get_semigroup(sel)
         p, q = (parse_element(sel, t) for t in ns.args)
-        got = _lcm_fn(S, ns.radius)(p, q)
+        try:
+            got = _lcm_fn(S, ns.radius)(p, q)
+        except IncomparableMultiples as e:
+            # A found counterexample: two minimal common multiples.
+            print("incomparable "
+                  + " ".join(S.display(w) for w in e.witnesses))
+            return 1
         if got is DISJOINT:
             print("disjoint")
         else:
@@ -223,11 +241,9 @@ def _dispatch(ns):
         sel = _need(ns, "semigroup")
         S = catalog.get_semigroup(sel)
         p = parse_element(sel, ns.args[0])
-        if sel == "nxn":
-            u, a = zoo.nxn_decompose(p)
-            print(f"({u[0]},{u[1]}) ; ({a[0]},{a[1]})")
-        elif sel == "zxz":
-            u, a = zoo.zxz_decompose(p)
+        affine = {"nxn": zoo.nxn_decompose, "zxz": zoo.zxz_decompose}
+        if sel in affine:
+            u, a = affine[sel](p)
             print(f"({u[0]},{u[1]}) ; ({a[0]},{a[1]})")
         elif sel.startswith("bs:"):
             alphas, beta = p

@@ -194,86 +194,71 @@ class BruteForcer:
         if d is not None:
             return Lcm(p, S.identity, d)
         cached = self._pair_cache.get((q, p))
-        if cached is not None:
-            if cached is DISJOINT or isinstance(cached, BallTooSmall):
-                result = cached
-            else:
-                result = Lcm(cached.lcm, cached.q_comp, cached.p_comp)
-        else:
-            result = self._search_complements(p, q)
+        if cached is None:
+            try:
+                result = self._search_complements(p, q)
+            except BallTooSmall as e:
+                result = e
             self._pair_cache[(p, q)] = result
+        elif isinstance(cached, Lcm):
+            result = Lcm(cached.lcm, cached.q_comp, cached.p_comp)
+        else:
+            result = cached
         if isinstance(result, BallTooSmall):
-            raise result
+            # A fresh traceback each time: the cached one would hold the
+            # search's frames and grow with every re-raise.
+            raise result.with_traceback(None)
         return result
 
     def _search_complements(self, p, q):
-        S, T = self.S, self.complements
         mp, mq = self._mult_map(p), self._mult_map(q)
-        common = mp.keys() & mq.keys()
+        common = {m: max(mp[m], mq[m]) for m in mp.keys() & mq.keys()}
         if not common:
             return DISJOINT
+        return self._certify(p, q, common, common.__getitem__,
+                             self.complements.radius)
 
-        def complen(m):
-            return max(mp[m], mq[m])
+    def _certify(self, p, q, common, length, radius):
+        """The right LCM of p and q from their searched common multiples.
 
-        # The true LCM, if reachable, has the shortest complements; check
-        # that candidate first and only fall back to a full scan if it
-        # fails to divide something.
-        shortest = min(complen(m) for m in common)
-        first = min((m for m in common if complen(m) == shortest),
+        A certified LCM must left-divide every multiple in `common`, and
+        its `length` must stay clear of the `radius` boundary.  The
+        shortest candidate is checked first and is the LCM in practice;
+        only when it fails are the others scanned shortest-first.
+        """
+        S = self.S
+        shortest = min(map(length, common))
+        first = min((m for m in common if length(m) == shortest),
                     key=S.display)
         ordered = [first]
         for m in ordered:
             if all(S.left_divide(m, t) is not None for t in common):
-                if complen(m) >= T.radius - 1:
-                    return BallTooSmall(
-                        f"{S.name}: complements of the minimal common "
-                        f"multiple reach the radius-{T.radius} boundary")
+                if length(m) >= radius - 1:
+                    raise BallTooSmall(
+                        f"{S.name}: minimal common multiple {S.display(m)} "
+                        f"lies at the radius-{radius} boundary")
                 return Lcm(m, S.left_divide(p, m), S.left_divide(q, m))
             if len(ordered) == 1:
-                rest = common - {m}
-                ordered += sorted(rest, key=lambda t: (complen(t),
-                                                       S.display(t)))
+                ordered += sorted((t for t in common if t != m),
+                                  key=lambda t: (length(t), S.display(t)))
         minimal = [m for m in ordered
                    if not any(t != m
                               and S.left_divide(t, m) is not None
                               and S.left_divide(m, t) is None
                               for t in common)]
-        if any(complen(m) >= T.radius - 1 for m in minimal):
-            return BallTooSmall(
-                f"{S.name}: incomparable candidates with complements near "
-                f"the radius-{T.radius} boundary for {S.display(p)}, "
-                f"{S.display(q)}")
+        if any(length(m) >= radius - 1 for m in minimal):
+            raise BallTooSmall(
+                f"{S.name}: incomparable candidates near the radius-{radius} "
+                f"boundary for {S.display(p)}, {S.display(q)}")
         raise IncomparableMultiples(p, q, minimal[:2])
 
     def right_lcm(self, p, q):
         if self.complements is not None:
             return self._right_lcm_complements(p, q)
-        S, ball = self.S, self.ball
         common = self.multiples_in_ball(p) & self.multiples_in_ball(q)
         if not common:
             return DISJOINT
-        # A certified LCM must right-divide every in-ball common multiple.
-        # Scan candidates shortest-first: the first that divides everything
-        # is the least, and in practice it is found immediately.
-        ordered = sorted(common, key=lambda e: (ball.length(e), S.display(e)))
-        for m in ordered:
-            if all(S.left_divide(m, t) is not None for t in common):
-                if ball.length(m) >= ball.radius - 1:
-                    raise BallTooSmall(
-                        f"{S.name}: minimal common multiple {S.display(m)} "
-                        f"lies at the radius-{ball.radius} ball boundary")
-                return Lcm(m, S.left_divide(p, m), S.left_divide(q, m))
-        minimal = [m for m in ordered
-                   if not any(t != m
-                              and S.left_divide(t, m) is not None
-                              and S.left_divide(m, t) is None
-                              for t in common)]
-        if any(ball.length(m) >= ball.radius - 1 for m in minimal):
-            raise BallTooSmall(
-                f"{S.name}: incomparable candidates near radius "
-                f"{ball.radius} boundary for {S.display(p)}, {S.display(q)}")
-        raise IncomparableMultiples(p, q, minimal[:2])
+        return self._certify(p, q, common, self.ball.length, self.ball.radius)
 
 
 def brute_right_lcm(S, p, q, ball):

@@ -2,22 +2,16 @@
 ball of the monoid as the partial injection q -> pq, with the adjoint
 acting by left division.
 
-Truncation is handled by a three-way outcome discipline.  Applying a
-table to a basis vector yields Defined(value), Killed (the vector is
-genuinely outside the domain, decided inside the ball), or Escaped (the
-true image exists but lies outside the ball).  Escaped is sticky through
+Operators are integer code arrays over the indexed basis.  A code >= 0 is
+the basis index of the image; KILLED_CODE marks a vector genuinely outside
+the domain (decided inside the ball), and ESCAPED_CODE one whose true
+image exists but lies outside the ball.  Escaped is sticky through
 composition, and escaped vectors are never counted as evidence for or
-against a relation.
-
-Tables are stored as integer arrays over the indexed basis (code >= 0 is
-a basis index, KILLED_CODE and ESCAPED_CODE mark the other outcomes), so
-whole-basis composition and comparison are single vectorized steps.
+against a relation.  Whole-basis composition and comparison are single
+vectorized steps.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -27,25 +21,6 @@ from .zs import zs_semigroup
 
 KILLED_CODE = -1
 ESCAPED_CODE = -2
-
-
-class _Outcome:
-    __slots__ = ("tag",)
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def __repr__(self):
-        return self.tag
-
-
-KILLED = _Outcome("Killed")
-ESCAPED = _Outcome("Escaped")
-
-
-@dataclass(frozen=True)
-class Defined:
-    value: Any
 
 
 class Basis:
@@ -75,22 +50,10 @@ class PartialInjectionTable:
     so the adjoint is a constant-time view.
     """
 
-    def __init__(self, basis, fwd, bwd, label=""):
+    def __init__(self, basis, fwd, bwd):
         self.basis = basis
         self.fwd = fwd
         self.bwd = bwd
-        self.label = label
-
-    @property
-    def entries(self):
-        els = self.basis.elements
-        return {els[i]: els[c] for i, c in enumerate(self.fwd) if c >= 0}
-
-    def apply(self, q):
-        code = self.fwd[self.basis.index[q]]
-        if code >= 0:
-            return Defined(self.basis.elements[code])
-        return ESCAPED if code == ESCAPED_CODE else KILLED
 
 
 def rep_generator(S, p, basis):
@@ -114,34 +77,11 @@ def rep_generator(S, p, basis):
             if s is not None:
                 # r has a genuine preimage, but it lies outside the ball.
                 bwd[j] = ESCAPED_CODE
-    return PartialInjectionTable(basis, fwd, bwd, label=f"v({S.display(p)})")
-
-
-def rep_adjoint(T):
-    label = T.label[:-1] if T.label.endswith("*") else T.label + "*"
-    return PartialInjectionTable(T.basis, T.bwd, T.fwd, label=label)
-
-
-def rep_compose(tables, q):
-    """Apply a word of tables right to left to one basis vector."""
-    out = Defined(q)
-    for T in reversed(tables):
-        out = T.apply(out.value)
-        if out is ESCAPED or out is KILLED:
-            return out
-    return out
+    return PartialInjectionTable(basis, fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
 # Whole-basis operator arrays.
-
-def op_of_table(T):
-    return T.fwd
-
-
-def op_adjoint_of_table(T):
-    return T.bwd
-
 
 def op_compose(left, right):
     """left ∘ right on code arrays; right acts first, Escaped is sticky."""

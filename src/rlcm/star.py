@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .core import DISJOINT, BallTooSmall, enumerate_ball
+from .core import (DISJOINT, BallTooSmall, IncomparableMultiples,
+                   enumerate_ball)
 from .zs import zs_semigroup
 
 
@@ -140,7 +141,8 @@ def is_foundation_set(S, F, mode, ball=None, lcm=None):
     a clean sweep yields Foundation as a ball certificate, a failing p
     with all comparisons decided yields NotFoundation(p), and any
     undecidable comparison on an otherwise failing p yields
-    UndecidedBeyondBall.
+    UndecidedBeyondBall.  A pair with incomparable common multiples has
+    common multiples, so it counts as a hit.
     """
     F = list(F)
     if not F:
@@ -167,11 +169,13 @@ def is_foundation_set(S, F, mode, ball=None, lcm=None):
             hit = undecided = False
             for q in F:
                 try:
-                    if lcm(p, q) is not DISJOINT:
-                        hit = True
-                        break
+                    hit = lcm(p, q) is not DISJOINT
+                except IncomparableMultiples:
+                    hit = True  # common multiples exist, just no least one
                 except BallTooSmall:
                     undecided = True
+                if hit:
+                    break
             if not hit:
                 if undecided:
                     return FoundationVerdict(UNDECIDED_BEYOND_BALL, witness=p)
@@ -190,7 +194,7 @@ def foundation_transfer(D, clause, value, check_radius=None):
 
     With `check_radius` set, the output is re-verified by a bounded
     foundation check at that radius (on the product for "a"/"b", on U
-    for "c"); a failed check raises AssertionError.
+    for "c"); a failed check raises ValueError.
     """
     U, A = D.U, D.A
     if clause == "a":
@@ -211,6 +215,7 @@ def foundation_transfer(D, clause, value, check_radius=None):
     if check_radius is not None:
         ball = enumerate_ball(target, check_radius)
         verdict = is_foundation_set(target, out, "bounded", ball=ball)
-        assert verdict.ok, (
-            f"transferred set failed the bounded check: {verdict}")
+        if not verdict.ok:
+            raise ValueError(
+                f"transferred set failed the bounded check: {verdict}")
     return out

@@ -150,6 +150,8 @@ def _parse_pair(text, signs=False):
 # of the affine semigroups below.  (r,x) stands for the progression r+xN.
 
 def frac_multiply(p, q):
+    """Composition of affine maps n -> r + x*n; also the product of the
+    affine monoids over N and Z below."""
     (r, x), (s, y) = p, q
     return (r + x * s, x * y)
 
@@ -164,27 +166,24 @@ def frac_left_divide(p, r):
 def frac_right_lcm(p, q):
     """Closed-form right LCM in U.
 
-    The progressions r+xN and s+yN intersect iff gcd(x,y) divides s-r;
-    the LCM is then (l, lcm(x,y)) with l the least element of the
-    intersection, found by stepping through r+xN (at most lcm/x steps).
+    The progressions r+xN and s+yN intersect iff g = gcd(x,y) divides
+    s-r; the LCM is then (l, lcm(x,y)) with l the least element of the
+    intersection, l = r + x*j for the j in [0, y/g) given by the Chinese
+    remainder theorem.
     """
     (r, x), (s, y) = p, q
     g = math.gcd(x, y)
     if (s - r) % g:
         return DISJOINT
     big = x * y // g
-    l = None
-    for k in range(big // x):
-        t = r + x * k
-        if (t - s) % y == 0:
-            l = t
-            break
-    assert l is not None
-    j, kk = (l - r) // x, (l - s) // y
     xp, yp = big // x, big // y
+    j = ((s - r) // g * pow(x // g, -1, xp)) % xp
+    l = r + x * j
+    k = (l - s) // y
     # The least-element argument forces the complements back into U.
-    assert j < xp and kk < yp
-    return Lcm((l, big), (j, xp), (kk, yp))
+    if not 0 <= k < yp:
+        raise ArithmeticError(f"complements of {p} and {q} leave U")
+    return Lcm((l, big), (j, xp), (k, yp))
 
 
 def frac_semigroup(primes=(2, 3)):
@@ -217,11 +216,6 @@ def frac_semigroup(primes=(2, 3)):
 # ---------------------------------------------------------------------------
 # N x| Nx and Z x| Zx.
 
-def nxn_multiply(p, q):
-    (m, a), (n, b) = p, q
-    return (m + a * n, a * b)
-
-
 def nxn_decompose(p):
     """Unique factorization (m,a) = (m mod a, a) * (k, 1) with the first
     factor in U and the second in A = {(k,1)}."""
@@ -231,12 +225,6 @@ def nxn_decompose(p):
 
 
 def nxn_semigroup(right_lcm=None):
-    def left_divide(p, r):
-        (m, a), (n, b) = p, r
-        if b % a or (n - m) % a or n < m:
-            return None
-        return ((n - m) // a, b // a)
-
     def parse(text):
         m, a = _parse_pair(text)
         if m < 0 or a < 1:
@@ -246,19 +234,14 @@ def nxn_semigroup(right_lcm=None):
     return Semigroup(
         name="nxn",
         identity=(0, 1),
-        multiply=nxn_multiply,
+        multiply=frac_multiply,
         generators=((1, 1), (0, 2), (0, 3)),
         display=lambda p: f"({p[0]},{p[1]})",
         is_unit=lambda p: p == (0, 1),
-        left_divide=left_divide,
+        left_divide=frac_left_divide,
         right_lcm=right_lcm,
         parse=parse,
     )
-
-
-def zxz_multiply(p, q):
-    (m, a), (n, b) = p, q
-    return (m + a * n, a * b)
 
 
 def zxz_decompose(p):
@@ -286,7 +269,7 @@ def zxz_semigroup(right_lcm=None):
     return Semigroup(
         name="zxz",
         identity=(0, 1),
-        multiply=zxz_multiply,
+        multiply=frac_multiply,
         generators=((1, 1), (0, -1), (0, 2), (0, 3)),
         display=lambda p: f"({p[0]},{p[1]})",
         is_unit=lambda p: p[1] in (1, -1),
@@ -309,11 +292,12 @@ def bs_from_word(word, d):
     """Parse an {a,b}-letter string already in normal form."""
     alphas = []
     count = 0
-    for ch in word:
+    for i, ch in enumerate(word):
         if ch == "b":
             count += 1
         else:
-            assert count < d, "word is not in normal form"
+            if count >= d:
+                raise ParseError("word is not in normal form", i)
             alphas.append(count)
             count = 0
     return (tuple(alphas), count)

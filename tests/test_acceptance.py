@@ -347,19 +347,15 @@ def test_round_trip_and_determinism():
         return code, buf.getvalue().encode()
 
     commands = [
-        ["lcm", "--semigroup", "frac", "--seed", "0", "(1,2)", "(2,3)"],
-        ["normalize", "--semigroup", "nxn", "--seed", "0",
-         "t(0,2)* t(1,2)"],
-        ["check-axioms", "--semigroup", "zs:add:2", "--radius", "2",
-         "--seed", "0"],
-        ["check-relations", "--model", "Q2", "--seed", "0"],
+        ["lcm", "--semigroup", "frac", "(1,2)", "(2,3)"],
+        ["normalize", "--semigroup", "nxn", "t(0,2)* t(1,2)"],
+        ["check-axioms", "--semigroup", "zs:add:2", "--radius", "2"],
+        ["check-relations", "--model", "Q2"],
         ["check-relations", "--semigroup", "zs:bs:1,2", "--radius", "2",
-         "--suite", "Li", "--seed", "0"],
-        ["foundation", "--semigroup", "free:2", "--mode", "exact",
-         "--seed", "0", "0", "1"],
-        ["survey-ftheta", "--semigroup", "ftheta:2,3", "--bidegree", "2,2",
-         "--seed", "0"],
-        ["decompose", "--semigroup", "nxn", "--seed", "0", "(7,4)"],
+         "--suite", "Li"],
+        ["foundation", "--semigroup", "free:2", "--mode", "exact", "0", "1"],
+        ["survey-ftheta", "--semigroup", "ftheta:2,3", "--bidegree", "2,2"],
+        ["decompose", "--semigroup", "nxn", "(7,4)"],
     ]
     for argv in commands:
         first = capture(argv)

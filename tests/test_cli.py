@@ -4,6 +4,8 @@ deterministic reports."""
 import io
 from contextlib import redirect_stdout
 
+import pytest
+
 from rlcm.catalog import REGISTERED_SELECTORS, get_semigroup
 from rlcm.cli import parse_element, run
 from rlcm.core import enumerate_ball
@@ -93,6 +95,29 @@ def test_bad_input_exits_2():
     assert code == 2
 
 
+def test_unknown_model_suite_exits_2():
+    code, out = _run(["check-relations", "--model", "QN", "--suite", "nope"])
+    assert (code, out) == (2, "")
+
+
+def test_lcm_counterexample_prints_both_minimal_multiples():
+    code, out = _run(["lcm", "--semigroup", "ftheta:4,6", "x2.", ".y2"])
+    assert (code, out) == (1, "incomparable x2.y0 x2.y3\n")
+
+
+def test_bounded_foundation_counts_incomparable_multiples_as_hits():
+    code, out = _run(["foundation", "--semigroup", "ftheta:2,2",
+                      "--radius", "1", ".y0"])
+    assert (code, out) == (
+        1, "RESULT FAIL foundation checked=1 failed=1 NotFoundation(x1.)\n")
+
+
+def test_verbs_reject_flags_they_do_not_read():
+    with pytest.raises(SystemExit) as exc:
+        _run(["mul", "--semigroup", "nat", "--radius", "2", "1"])
+    assert exc.value.code == 2
+
+
 def test_parse_display_round_trip_on_small_balls():
     for selector in REGISTERED_SELECTORS:
         S = get_semigroup(selector)
@@ -102,11 +127,9 @@ def test_parse_display_round_trip_on_small_balls():
 
 def test_reports_are_deterministic():
     commands = [
-        ["check-axioms", "--semigroup", "zs:add:2", "--radius", "2",
-         "--seed", "0"],
-        ["check-relations", "--model", "QN", "--seed", "0"],
-        ["survey-ftheta", "--semigroup", "ftheta:4,6", "--bidegree", "2,2",
-         "--seed", "0"],
+        ["check-axioms", "--semigroup", "zs:add:2", "--radius", "2"],
+        ["check-relations", "--model", "QN"],
+        ["survey-ftheta", "--semigroup", "ftheta:4,6", "--bidegree", "2,2"],
     ]
     for argv in commands:
         assert _run(argv) == _run(argv)

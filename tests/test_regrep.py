@@ -5,10 +5,9 @@ import numpy as np
 
 from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup, get_zs_descriptor
 from rlcm.core import enumerate_ball
-from rlcm.regrep import (Basis, Defined, ESCAPED, ESCAPED_CODE, KILLED,
-                         KILLED_CODE, RepContext, monomial_op, op_compare,
-                         op_compose, op_identity, op_word, op_zero,
-                         oracle_check_monomial, rep_adjoint, rep_compose,
+from rlcm.regrep import (Basis, ESCAPED_CODE, KILLED_CODE, RepContext,
+                         monomial_op, op_compare, op_compose, op_identity,
+                         op_word, op_zero, oracle_check_monomial,
                          rep_generator, verify_relations)
 from rlcm.star import VV
 from rlcm.zoo import free_monoid
@@ -21,20 +20,22 @@ def _ctx(S, radius):
 def test_generator_table_multiplies_on_the_left():
     S = free_monoid(2)
     basis = Basis(enumerate_ball(S, 2))
+    idx = basis.index
     T = rep_generator(S, "0", basis)
-    assert T.apply("1") == Defined("01")
-    assert T.apply("") == Defined("0")
+    assert T.fwd[idx["1"]] == idx["01"]
+    assert T.fwd[idx[""]] == idx["0"]
     # images of length-2 words leave the ball
-    assert T.apply("11") is ESCAPED
+    assert T.fwd[idx["11"]] == ESCAPED_CODE
 
 
 def test_adjoint_table_divides_on_the_left():
     S = free_monoid(2)
     basis = Basis(enumerate_ball(S, 2))
-    T = rep_adjoint(rep_generator(S, "0", basis))
-    assert T.apply("01") == Defined("1")
-    assert T.apply("10") is KILLED
-    assert T.apply("") is KILLED
+    idx = basis.index
+    T = rep_generator(S, "0", basis)
+    assert T.bwd[idx["01"]] == idx["1"]
+    assert T.bwd[idx["10"]] == KILLED_CODE
+    assert T.bwd[idx[""]] == KILLED_CODE
 
 
 def test_escape_is_sticky_through_composition():
@@ -42,7 +43,7 @@ def test_escape_is_sticky_through_composition():
     basis = Basis(enumerate_ball(S, 2))
     T0 = rep_generator(S, "0", basis)
     # "1" -> "01" -> escapes under a second left multiplication
-    assert rep_compose([T0, T0], "1") is ESCAPED
+    assert op_compose(T0.fwd, T0.fwd)[basis.index["1"]] == ESCAPED_CODE
     out = op_word([T0.fwd, T0.fwd])
     assert out[basis.index["1"]] == ESCAPED_CODE
 

@@ -1,7 +1,12 @@
 """The two-sided monomial calculus and foundation sets."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +171,29 @@ def test_random_foundation_sets_transfer(seed=0):
         rng.shuffle(F)
         out = foundation_transfer(D, "b", F, check_radius=3)
         assert len(out) == len(F)
+
+
+def test_checks_hold_under_python_O():
+    # `python -O` strips assert statements; these checks must survive it.
+    script = textwrap.dedent("""
+        from rlcm.catalog import get_zs_descriptor
+        from rlcm.star import foundation_transfer
+        from rlcm.zoo import ParseError, bs_from_word
+        try:
+            foundation_transfer(get_zs_descriptor("add:2"), "b", ["0"],
+                                check_radius=2)
+            print("transfer accepted")
+        except ValueError:
+            print("transfer refused")
+        try:
+            bs_from_word("bbba", 3)
+            print("word accepted")
+        except ParseError:
+            print("word refused")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n") == ["transfer refused", "word refused", ""]

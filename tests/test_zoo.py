@@ -12,8 +12,8 @@ from rlcm.core import DISJOINT
 from rlcm.zoo import (ParseError, bs_left_divide, bs_multiply, bs_normalize,
                       bs_parse, bs_semigroup, bs_to_word, frac_right_lcm,
                       frac_semigroup, free_monoid, int_add, nat_add,
-                      nxn_decompose, nxn_multiply, nxn_semigroup,
-                      zsign_group, zxz_decompose, zxz_semigroup)
+                      nxn_decompose, nxn_semigroup, zsign_group,
+                      zxz_decompose, zxz_semigroup)
 
 # ---------------------------------------------------------------------------
 # frac: the semigroup of arithmetic progressions (r, x) = r + xN.
@@ -49,6 +49,39 @@ def test_frac_lcm_is_least_intersection_point(p, q):
         assert S.multiply(q, got.q_comp) == got.lcm
 
 
+big_fracs = st.integers(1, 10 ** 12).flatmap(
+    lambda x: st.tuples(st.integers(0, x - 1), st.just(x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_fracs, big_fracs)
+def test_frac_lcm_at_large_moduli(p, q):
+    (r, x), (s, y) = p, q
+    g = math.gcd(x, y)
+    got = frac_right_lcm(p, q)
+    if got is DISJOINT:
+        assert (s - r) % g
+        return
+    l, z = got.lcm
+    assert z == x * y // g
+    S = frac_semigroup()
+    assert S.multiply(p, got.p_comp) == got.lcm == S.multiply(q, got.q_comp)
+    # Common elements repeat with period z, so the least lies in the first
+    # period above both starting points.
+    assert max(r, s) <= l < max(r, s) + z
+    for j, xp in (got.p_comp, got.q_comp):
+        assert 0 <= j < xp
+
+
+def test_frac_lcm_of_large_coprime_moduli():
+    p, q = (1, 1000000007), (2, 1000000009)
+    got = frac_right_lcm(p, q)
+    S = frac_semigroup()
+    assert got.lcm[1] == 1000000007 * 1000000009
+    assert S.multiply(p, got.p_comp) == got.lcm == S.multiply(q, got.q_comp)
+    assert got.lcm[0] < got.lcm[1]
+
+
 def test_frac_parse_rejects_bad_pairs():
     S = frac_semigroup()
     with pytest.raises(ParseError):
@@ -62,7 +95,7 @@ def test_frac_parse_rejects_bad_pairs():
 
 
 def test_affine_multiplication_examples():
-    assert nxn_multiply((1, 2), (3, 4)) == (7, 8)
+    assert nxn_semigroup().multiply((1, 2), (3, 4)) == (7, 8)
     S = zxz_semigroup()
     assert S.multiply((1, -2), (3, 1)) == (-5, -2)
 
