@@ -12,6 +12,7 @@ not numerics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,174 +234,152 @@ def _partition_family(report, suite, instances, cover_enough=False):
     report.add(suite, count, witnesses)
 
 
-def verify_boundary_suite(name, suites=None):
-    """Run the relation suite of one model; every line is an exact
-    affine identity or an exact partition verdict.  Naming a suite the
-    model does not have raises ValueError."""
+def _affine_suites(t, s_of, D, a_range):
+    """The NxN and ZxZ table; K1/K2 read the matching of the product
+    form D."""
+    xs = QN_PRIMES
+
+    def k1_cases():
+        for a in a_range:
+            for x in xs:
+                for r in range(x):
+                    au = D.action(a, (r, x))
+                    ra = D.restriction(a, (r, x))
+                    yield (affine_compose(s_of(a), t(r, x)),
+                           affine_compose(t(*au), s_of(ra)),
+                           f"a={a},u=({r},{x})")
+
+    def k2_cases():
+        for a in a_range:
+            for x in xs:
+                for r in range(x):
+                    z = D.action_inverse(a, (r, x))
+                    rz = D.restriction(a, z)
+                    yield (affine_compose(affine_adjoint(s_of(a)), t(r, x)),
+                           affine_compose(t(*z), affine_adjoint(s_of(rz))),
+                           f"a={a},u=({r},{x})")
+
+    def q1_cases():
+        for a in a_range:
+            yield (affine_compose(s_of(a), affine_adjoint(s_of(a))),
+                   affine(1, 0), f"a={a},ss*")
+            yield (affine_compose(affine_adjoint(s_of(a)), s_of(a)),
+                   affine(1, 0), f"a={a},s*s")
+
+    return {
+        "K1": (_eq_family, k1_cases),
+        "K2": (_eq_family, k2_cases),
+        "Q1": (_eq_family, q1_cases),
+        "Q2": (functools.partial(_partition_family, cover_enough=True),
+               lambda: (([range_projection(t(k, p)) for k in range(p)],
+                         f"p={p}") for p in xs)),
+    }
+
+
+def _suite_table(name):
+    """The one table of a model: suite name -> (family checker, thunk
+    yielding the suite's instances).  Its keys are the model's suite
+    list, and no instance is computed before its thunk is called."""
     gen = build_model(name)
-    report = Report()
-    known = set()
-
-    def want(s):
-        known.add(s)
-        return suites is None or s in suites
-
     if name == "Q2":
         u, s2 = gen["u"], gen["s2"]
-        if want("I"):
-            _eq_family(report, "I",
-                       [(affine_compose(s2, u),
-                         affine_compose(u, affine_compose(u, s2)), "s2u=u2s2")])
-        if want("II"):
-            _partition_family(report, "II",
-                              [([range_projection(s2),
-                                 range_projection(affine_compose(u, s2))],
-                                "s2s2*+us2s2*u*=1")])
-    elif name == "QN":
-        s = gen["s"]
-        v = gen["v"]
-        ps = QN_PRIMES
-        if want("T1"):
-            _eq_family(report, "T1",
-                       ((affine_compose(v(p), s),
-                         affine_compose(affine_power(s, p), v(p)), f"p={p}")
-                        for p in ps))
-        if want("T2"):
-            _eq_family(report, "T2",
-                       ((affine_compose(v(p), v(q)),
-                         affine_compose(v(q), v(p)), f"p={p},q={q}")
-                        for p in ps for q in ps))
-        if want("T3"):
-            _eq_family(report, "T3",
-                       ((affine_compose(affine_adjoint(v(p)), v(q)),
-                         affine_compose(v(q), affine_adjoint(v(p))),
-                         f"p={p},q={q}")
-                        for p in ps for q in ps if p != q))
-        if want("T4"):
-            _eq_family(report, "T4",
-                       ((affine_compose(affine_adjoint(s), v(p)),
-                         affine_compose(affine_power(s, p - 1),
-                                        affine_compose(v(p),
-                                                       affine_adjoint(s))),
-                         f"p={p}")
-                        for p in ps))
-        if want("T5"):
-            _eq_family(report, "T5",
-                       ((affine_compose(affine_adjoint(v(p)),
-                                        affine_compose(affine_power(s, k),
-                                                       v(p))),
-                         EMPTY, f"p={p},k={k}")
-                        for p in ps for k in range(1, p)))
-        if want("Q5"):
-            _partition_family(
-                report, "Q5",
-                (([range_projection(affine_compose(affine_power(s, k), v(p)))
-                   for k in range(p)], f"p={p}")
-                 for p in ps))
-        if want("Q6"):
-            _eq_family(report, "Q6",
-                       [(affine_compose(s, affine_adjoint(s)), affine(1, 0),
-                         "ss*"),
-                        (affine_compose(affine_adjoint(s), s), affine(1, 0),
-                         "s*s")])
-    elif name == "QZ":
-        s = gen["u"]
-        v = gen["v"]
-        rng = QZ_RANGE
-        if want("i"):
-            _eq_family(report, "i",
-                       ((affine_compose(v(a), v(b)), v(a * b),
-                         f"a={a},b={b}")
-                        for a in rng for b in rng))
-        if want("ii"):
-            def ii_cases():
-                for a in rng:
-                    yield (affine_compose(v(a), s),
-                           affine_compose(affine_power(s, a), v(a)),
-                           f"a={a},s")
-                    yield (affine_compose(v(a), affine_adjoint(s)),
-                           affine_compose(affine_power(s, -a), v(a)),
-                           f"a={a},s*")
-            _eq_family(report, "ii", ii_cases())
-        if want("iii"):
-            _partition_family(
-                report, "iii",
-                (([range_projection(affine_compose(affine_power(s, j), v(a)))
-                   for j in range(abs(a))], f"a={a}")
-                 for a in rng))
-    elif name.startswith("BS1n:"):
-        s, t, d = gen["s"], gen["t"], gen["d"]
-        if want("1"):
-            _partition_family(report, "1",
-                              [([range_projection(t(i))
-                                 for i in range(1, d + 1)], "sum t_i t_i*")])
-        if want("2"):
-            _eq_family(report, "2",
-                       ((affine_compose(s, t(i)), t(i + 1), f"i={i}")
-                        for i in range(1, d)))
-        if want("3"):
-            _eq_family(report, "3",
-                       [(affine_compose(s, t(d)),
-                         affine_compose(t(1), affine_power(s, 1)), "st_d")])
-    elif name in ("NxN", "ZxZ"):
-        t = gen["t"]
-        s = gen["s"]
-        xs = QN_PRIMES
-        ms = range(11)
-        # K1/K2 read the matching of the product form from the catalog.
-        if name == "NxN":
-            D = catalog.nxn_zs()
-            a_range = list(ms)
-            s_of = s
-        else:
-            D = catalog.zxz_zs()
-            a_range = [(m, j) for m in ms for j in (1, -1)]
+        return {
+            "I": (_eq_family, lambda: [
+                (affine_compose(s2, u),
+                 affine_compose(u, affine_compose(u, s2)), "s2u=u2s2")]),
+            "II": (_partition_family, lambda: [
+                ([range_projection(s2),
+                  range_projection(affine_compose(u, s2))],
+                 "s2s2*+us2s2*u*=1")]),
+        }
+    if name == "QN":
+        s, v, ps = gen["s"], gen["v"], QN_PRIMES
+        return {
+            "T1": (_eq_family, lambda: (
+                (affine_compose(v(p), s),
+                 affine_compose(affine_power(s, p), v(p)), f"p={p}")
+                for p in ps)),
+            "T2": (_eq_family, lambda: (
+                (affine_compose(v(p), v(q)), affine_compose(v(q), v(p)),
+                 f"p={p},q={q}")
+                for p in ps for q in ps)),
+            "T3": (_eq_family, lambda: (
+                (affine_compose(affine_adjoint(v(p)), v(q)),
+                 affine_compose(v(q), affine_adjoint(v(p))), f"p={p},q={q}")
+                for p in ps for q in ps if p != q)),
+            "T4": (_eq_family, lambda: (
+                (affine_compose(affine_adjoint(s), v(p)),
+                 affine_compose(affine_power(s, p - 1),
+                                affine_compose(v(p), affine_adjoint(s))),
+                 f"p={p}")
+                for p in ps)),
+            "T5": (_eq_family, lambda: (
+                (affine_compose(affine_adjoint(v(p)),
+                                affine_compose(affine_power(s, k), v(p))),
+                 EMPTY, f"p={p},k={k}")
+                for p in ps for k in range(1, p))),
+            "Q5": (_partition_family, lambda: (
+                ([range_projection(affine_compose(affine_power(s, k), v(p)))
+                  for k in range(p)], f"p={p}")
+                for p in ps)),
+            "Q6": (_eq_family, lambda: [
+                (affine_compose(s, affine_adjoint(s)), affine(1, 0), "ss*"),
+                (affine_compose(affine_adjoint(s), s), affine(1, 0), "s*s")]),
+        }
+    if name == "QZ":
+        s, v, rng = gen["u"], gen["v"], QZ_RANGE
 
-            def s_of(a):
-                return s(*a)
-        if want("K1"):
-            def k1_cases():
-                for a in a_range:
-                    for x in xs:
-                        for r in range(x):
-                            au = D.action(a, (r, x))
-                            ra = D.restriction(a, (r, x))
-                            yield (affine_compose(s_of(a), t(r, x)),
-                                   affine_compose(t(*au), s_of(ra)),
-                                   f"a={a},u=({r},{x})")
-            _eq_family(report, "K1", k1_cases())
-        if want("K2"):
-            def k2_cases():
-                for a in a_range:
-                    for x in xs:
-                        for r in range(x):
-                            z = D.action_inverse(a, (r, x))
-                            rz = D.restriction(a, z)
-                            yield (affine_compose(affine_adjoint(s_of(a)),
-                                                  t(r, x)),
-                                   affine_compose(t(*z),
-                                                  affine_adjoint(s_of(rz))),
-                                   f"a={a},u=({r},{x})")
-            _eq_family(report, "K2", k2_cases())
-        if want("Q1"):
-            def q1_cases():
-                for a in a_range:
-                    yield (affine_compose(s_of(a), affine_adjoint(s_of(a))),
-                           affine(1, 0), f"a={a},ss*")
-                    yield (affine_compose(affine_adjoint(s_of(a)), s_of(a)),
-                           affine(1, 0), f"a={a},s*s")
-            _eq_family(report, "Q1", q1_cases())
-        if want("Q2"):
-            _partition_family(
-                report, "Q2",
-                (([range_projection(t(k, p)) for k in range(p)], f"p={p}")
-                 for p in xs),
-                cover_enough=True)
-    else:
-        raise UnknownModel(name)
-    unknown = sorted(set(suites or ()) - known)
+        def ii_cases():
+            for a in rng:
+                yield (affine_compose(v(a), s),
+                       affine_compose(affine_power(s, a), v(a)), f"a={a},s")
+                yield (affine_compose(v(a), affine_adjoint(s)),
+                       affine_compose(affine_power(s, -a), v(a)), f"a={a},s*")
+
+        return {
+            "i": (_eq_family, lambda: (
+                (affine_compose(v(a), v(b)), v(a * b), f"a={a},b={b}")
+                for a in rng for b in rng)),
+            "ii": (_eq_family, ii_cases),
+            "iii": (_partition_family, lambda: (
+                ([range_projection(affine_compose(affine_power(s, j), v(a)))
+                  for j in range(abs(a))], f"a={a}")
+                for a in rng)),
+        }
+    if name == "NxN":
+        return _affine_suites(gen["t"], gen["s"], catalog.nxn_zs(),
+                              list(range(11)))
+    if name == "ZxZ":
+        return _affine_suites(gen["t"], lambda a: gen["s"](*a),
+                              catalog.zxz_zs(),
+                              [(m, j) for m in range(11) for j in (1, -1)])
+    s, t, d = gen["s"], gen["t"], gen["d"]  # BS1n:d, the last model
+    return {
+        "1": (_partition_family, lambda: [
+            ([range_projection(t(i)) for i in range(1, d + 1)],
+             "sum t_i t_i*")]),
+        "2": (_eq_family, lambda: (
+            (affine_compose(s, t(i)), t(i + 1), f"i={i}")
+            for i in range(1, d))),
+        "3": (_eq_family, lambda: [
+            (affine_compose(s, t(d)),
+             affine_compose(t(1), affine_power(s, 1)), "st_d")]),
+    }
+
+
+def verify_boundary_suite(name, suites=None):
+    """Run the relation suites of one model, or those of them named in
+    `suites`; every line is an exact affine identity or an exact
+    partition verdict.  Naming a suite the model does not have raises
+    ValueError before anything is computed."""
+    table = _suite_table(name)
+    unknown = sorted(set(suites or ()) - table.keys())
     if unknown:
         raise ValueError(f"model {name} has no suite {', '.join(unknown)}")
+    report = Report()
+    for suite, (family, instances) in table.items():
+        if suites is None or suite in suites:
+            family(report, suite, instances())
     return report
 
 

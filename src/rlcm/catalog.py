@@ -1,17 +1,18 @@
 """Ready-made semigroups and product descriptors, plus the name registry
 used by the command-line front end.
 
-Each of the concrete families from `zoo` reappears here in two shapes: as
-a plain monoid on its own normal forms, and (where applicable) as an
-explicit product U ⋈ A of its two factors.  The closed-form right-LCM
-functions of the plain shapes are obtained by decomposing into the
-product, running the product-level LCM, and recomposing.
+The affine monoids over N and Z and the Baumslag-Solitar monoids are
+built here once each, as plain monoids on their own normal forms from
+the element arithmetic in `zoo`.  Each also has an explicit product
+U ⋈ A of two factors, and one split/join pair between the two shapes;
+its closed-form right LCM splits both arguments, runs the product-level
+LCM and joins the result.
 """
 
 from __future__ import annotations
 
 from . import zoo
-from .core import DISJOINT, Lcm
+from .core import DISJOINT, Lcm, Semigroup
 from .selfsim import (adding_machine, bs_odometer, ftheta_semigroup,
                       ssa_act_inverse_word, ssa_act_word, theta_build)
 from .zs import ZSDescriptor, zs_right_lcm, zs_semigroup
@@ -125,58 +126,108 @@ def ftheta_zs(m, n):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form right LCMs for the plain shapes, through their product form.
+# The plain monoids N x| Nx, Z x| Zx and BS(c,d)+ on their own normal forms.
+# Each family has one split of its elements into the (U, A) pairs of its
+# product form and one join back; its right LCM runs through the product.
 
-def _lcm_through_product(D, decompose, recompose):
+def _nxn_split(p):
+    u, (k, _one) = zoo.zxz_decompose(p)
+    return u, k
+
+
+def product_form(selector):
+    """(D, split, join) for a plain family: its product descriptor, the
+    map of an element to its (U, A) pair, and the map back."""
+    if selector == "nxn":
+        return (nxn_zs(), _nxn_split,
+                lambda e: zoo.frac_multiply(e[0], (e[1], 1)))
+    if selector == "zxz":
+        return zxz_zs(), zoo.zxz_decompose, lambda e: zoo.frac_multiply(*e)
+    if selector.startswith("bs:"):
+        # alphas (k1, ..., kn) <-> the digit word "k1...kn" of b^k a letters
+        return (bs_zs(*_int_pair(selector[3:])),
+                lambda p: ("".join(map(str, p[0])), p[1]),
+                lambda e: (tuple(map(int, e[0])), e[1]))
+    raise ValueError(f"{selector} has no product form")
+
+
+def _right_lcm(selector):
+    D, split, join = product_form(selector)
+
     def right_lcm(p, q):
-        got = zs_right_lcm(D, decompose(p), decompose(q))
+        got = zs_right_lcm(D, split(p), split(q))
         if got is DISJOINT:
             return DISJOINT
-        return Lcm(recompose(got.lcm), recompose(got.p_comp),
-                   recompose(got.q_comp))
+        return Lcm(join(got.lcm), join(got.p_comp), join(got.q_comp))
 
     return right_lcm
 
 
 def nxn_semigroup():
-    D = nxn_zs()
+    def parse(text):
+        m, a = zoo.parse_pair(text)
+        if m < 0 or a < 1:
+            raise zoo.ParseError("need m >= 0 and a >= 1")
+        return (m, a)
 
-    def decompose(p):
-        u, (k, _one) = zoo.nxn_decompose(p)
-        return (u, k)
-
-    def recompose(e):
-        (r, x), k = e
-        return (r + x * k, x)
-
-    return zoo.nxn_semigroup(
-        right_lcm=_lcm_through_product(D, decompose, recompose))
+    return Semigroup(
+        name="nxn",
+        identity=(0, 1),
+        multiply=zoo.frac_multiply,
+        generators=((1, 1), (0, 2), (0, 3)),
+        display=lambda p: f"({p[0]},{p[1]})",
+        is_unit=lambda p: p == (0, 1),
+        left_divide=zoo.frac_left_divide,
+        right_lcm=_right_lcm("nxn"),
+        parse=parse,
+    )
 
 
 def zxz_semigroup():
-    D = zxz_zs()
+    def left_divide(p, r):
+        (m, a), (n, b) = p, r
+        if b % a or (n - m) % a:
+            return None
+        return ((n - m) // a, b // a)
 
-    def recompose(e):
-        (r, x), (k, j) = e
-        return (r + x * k, x * j)
+    def parse(text):
+        m, a = zoo.parse_pair(text)
+        if a == 0:
+            raise zoo.ParseError("multiplier must be nonzero")
+        return (m, a)
 
-    return zoo.zxz_semigroup(
-        right_lcm=_lcm_through_product(D, zoo.zxz_decompose, recompose))
+    return Semigroup(
+        name="zxz",
+        identity=(0, 1),
+        multiply=zoo.frac_multiply,
+        generators=((1, 1), (0, -1), (0, 2), (0, 3)),
+        display=lambda p: f"({p[0]},{p[1]})",
+        is_unit=lambda p: p[1] in (1, -1),
+        left_divide=left_divide,
+        right_lcm=_right_lcm("zxz"),
+        parse=parse,
+    )
 
 
 def bs_semigroup(c, d):
-    D = bs_zs(c, d)
+    """BS(c,d)+ on its canonical normal forms.
 
-    def decompose(p):
-        alphas, beta = p
-        return ("".join(str(k) for k in alphas), beta)
-
-    def recompose(e):
-        word, beta = e
-        return (tuple(int(ch) for ch in word), beta)
-
-    return zoo.bs_semigroup(
-        c, d, right_lcm=_lcm_through_product(D, decompose, recompose))
+    The generator list {a, b} matches the group presentation; the ball
+    metric therefore counts a/b letters of a shortest spelling.
+    """
+    if c < 1 or d < 1:
+        raise ValueError("c and d must be positive")
+    return Semigroup(
+        name=f"bs:{c},{d}",
+        identity=((), 0),
+        multiply=lambda p, q: zoo.bs_multiply(p, q, c, d),
+        generators=(((0,), 0), ((), 1)),  # a, b
+        display=zoo.bs_display,
+        is_unit=lambda p: p == ((), 0),
+        left_divide=lambda p, r: zoo.bs_left_divide(p, r, c, d),
+        right_lcm=_right_lcm(f"bs:{c},{d}"),
+        parse=lambda t: zoo.bs_parse(t, c, d),
+    )
 
 
 # ---------------------------------------------------------------------------

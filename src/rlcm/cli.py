@@ -12,6 +12,7 @@ and the exit code is 0 when nothing failed, 1 on FAIL, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 
@@ -110,11 +111,19 @@ def _parse_flex(S, inner):
         return S.parse(f"({inner})")
 
 
-def _lcm_fn(S, radius):
+def _with_lcm(S, radius):
+    """S when it has a closed-form right LCM, else S with the brute-force
+    oracle over its radius max(2*radius, 4) ball as its right LCM."""
     if S.right_lcm is not None:
-        return S.right_lcm
+        return S
     brute = BruteForcer(S, enumerate_ball(S, max(2 * radius, 4)))
-    return brute.right_lcm
+    return dataclasses.replace(S, right_lcm=brute.right_lcm)
+
+
+def _incomparable(S, e):
+    """A found counterexample: two minimal common multiples, exit 1."""
+    print("incomparable " + " ".join(S.display(w) for w in e.witnesses))
+    return 1
 
 
 def run(argv=None):
@@ -153,13 +162,11 @@ def _dispatch(ns):
         sel = _need(ns, "semigroup")
         S = catalog.get_semigroup(sel)
         p, q = (parse_element(sel, t) for t in ns.args)
+        S = _with_lcm(S, ns.radius)
         try:
-            got = _lcm_fn(S, ns.radius)(p, q)
+            got = S.right_lcm(p, q)
         except IncomparableMultiples as e:
-            # A found counterexample: two minimal common multiples.
-            print("incomparable "
-                  + " ".join(S.display(w) for w in e.witnesses))
-            return 1
+            return _incomparable(S, e)
         if got is DISJOINT:
             print("disjoint")
         else:
@@ -170,7 +177,11 @@ def _dispatch(ns):
     if ns.verb == "normalize":
         sel = _need(ns, "semigroup")
         S, tokens = parse_token_word(sel, ns.args[0])
-        mono = word_normalize(S, tokens, lcm=_lcm_fn(S, ns.radius))
+        S = _with_lcm(S, ns.radius)
+        try:
+            mono = word_normalize(S, tokens)
+        except IncomparableMultiples as e:
+            return _incomparable(S, e)
         print(mono_display(S, mono))
         return 0
 
@@ -207,8 +218,8 @@ def _dispatch(ns):
             verdict = is_foundation_set(S, F, "exact")
         else:
             ball = enumerate_ball(S, ns.radius)
-            verdict = is_foundation_set(S, F, "bounded", ball=ball,
-                                        lcm=_lcm_fn(S, ns.radius))
+            verdict = is_foundation_set(_with_lcm(S, ns.radius), F,
+                                        "bounded", ball=ball)
         report = Report()
         report.add("foundation", len(F),
                    [] if verdict.ok else [f"{verdict.status}"
@@ -239,18 +250,12 @@ def _dispatch(ns):
 
     if ns.verb == "decompose":
         sel = _need(ns, "semigroup")
-        S = catalog.get_semigroup(sel)
         p = parse_element(sel, ns.args[0])
-        affine = {"nxn": zoo.nxn_decompose, "zxz": zoo.zxz_decompose}
-        if sel in affine:
-            u, a = affine[sel](p)
-            print(f"({u[0]},{u[1]}) ; ({a[0]},{a[1]})")
-        elif sel.startswith("bs:"):
-            alphas, beta = p
-            word = "".join(str(k) for k in alphas)
-            print(f"{word if word else 'ε'} ; {beta}")
-        else:
-            raise ValueError(f"decompose does not support {sel}")
+        D, split, _join = catalog.product_form(sel)
+        u, a = split(p)
+        # The shift k of N x| Nx shows as the affine map (k,1).
+        shown = f"({a},1)" if sel == "nxn" else D.A.display(a)
+        print(f"{D.U.display(u)} ; {shown}")
         return 0
 
     raise ValueError(f"unknown verb {ns.verb!r}")

@@ -263,7 +263,7 @@ def monomial_op(S, mono, basis):
     return out
 
 
-def oracle_check_monomial(S, tokens, ctx, lcm=None):
+def oracle_check_monomial(S, tokens, ctx):
     """Compare the collapsed monomial of a token word against the
     composition of the token tables, vector by vector.
 
@@ -279,7 +279,7 @@ def oracle_check_monomial(S, tokens, ctx, lcm=None):
         ops.append(T.bwd if starred else T.fwd)
         monos.append(VV(S.identity, p) if starred else VV(p, S.identity))
     word_map = op_word(ops)
-    mono = word_normalize(S, monos, lcm=lcm)
+    mono = word_normalize(S, monos)
     mono_map = monomial_op(S, mono, ctx.basis)
     compared, escaped, bad = op_compare(ctx.basis, word_map, mono_map)
     return compared, escaped, [ctx.basis.elements[i] for i in bad]

@@ -55,7 +55,9 @@ class Report:
 
     @property
     def ok(self):
-        return all(c.status == PASS for c in self.checks)
+        """PASS on every check; a report with no checks is not a PASS."""
+        return bool(self.checks) and all(c.status == PASS
+                                         for c in self.checks)
 
     @property
     def failures(self):

@@ -58,17 +58,12 @@ def projection(S, p):
     return VV(p, p)
 
 
-def mono_multiply(S, m1, m2, lcm=None):
-    """Product of two monomials, collapsed through the covariance rule.
-
-    `lcm` overrides the semigroup's right-LCM function (used to plug in
-    the brute-force oracle); it must return DISJOINT or an Lcm record.
-    """
+def mono_multiply(S, m1, m2):
+    """Product of two monomials, collapsed through the covariance rule
+    with the semigroup's right LCM."""
     if m1 is ZERO or m2 is ZERO:
         return ZERO
-    if lcm is None:
-        lcm = S.right_lcm
-    got = lcm(m1.q, m2.p)
+    got = S.right_lcm(m1.q, m2.p)
     if got is DISJOINT:
         return ZERO
     return VV(S.multiply(m1.p, got.p_comp), S.multiply(m2.q, got.q_comp))
@@ -99,7 +94,7 @@ def mono_display(S, m):
     return f"v({S.display(m.p)})v({S.display(m.q)})*"
 
 
-def word_normalize(S, tokens, lcm=None):
+def word_normalize(S, tokens):
     """Left fold of mono_multiply over a token word.
 
     Tokens are Monomial values; see `v`, `vstar`, `projection` for the
@@ -107,7 +102,7 @@ def word_normalize(S, tokens, lcm=None):
     """
     out = VV(S.identity, S.identity)
     for tok in tokens:
-        out = mono_multiply(S, out, tok, lcm=lcm)
+        out = mono_multiply(S, out, tok)
     return out
 
 
@@ -130,7 +125,7 @@ class FoundationVerdict:
         return self.status == FOUNDATION
 
 
-def is_foundation_set(S, F, mode, ball=None, lcm=None):
+def is_foundation_set(S, F, mode, ball=None):
     """Decide (exactly or on a ball) whether F is a foundation set.
 
     mode "exact": free monoids only.  With N the longest length in F,
@@ -163,13 +158,11 @@ def is_foundation_set(S, F, mode, ball=None, lcm=None):
     if mode == "bounded":
         if ball is None:
             raise ValueError("bounded mode needs a ball")
-        if lcm is None:
-            lcm = S.right_lcm
         for p in ball:
             hit = undecided = False
             for q in F:
                 try:
-                    hit = lcm(p, q) is not DISJOINT
+                    hit = S.right_lcm(p, q) is not DISJOINT
                 except IncomparableMultiples:
                     hit = True  # common multiples exist, just no least one
                 except BallTooSmall:

@@ -1,6 +1,7 @@
-"""The concrete semigroup families: free monoids, additive monoids, the
-fraction semigroup U of arithmetic progressions, the affine semigroups
-over N and Z, and the positive Baumslag-Solitar monoids BS(c,d)+.
+"""The concrete semigroup families: free monoids, additive monoids and
+the fraction semigroup U of arithmetic progressions, plus the element
+arithmetic of the affine monoids over N and Z and of the positive
+Baumslag-Solitar monoids BS(c,d)+, whose semigroups `catalog` builds.
 
 All mod operations on negative integers are Euclidean (Python's `%` with
 a positive modulus), so representatives always land in [0, x).
@@ -131,11 +132,11 @@ def zsign_group():
         is_unit=lambda p: True,
         left_divide=left_divide,
         right_lcm=lambda p, q: Lcm(p, (0, 1), left_divide(q, p)),
-        parse=lambda t: _parse_pair(t, signs=True),
+        parse=lambda t: parse_pair(t, signs=True),
     )
 
 
-def _parse_pair(text, signs=False):
+def parse_pair(text, signs=False):
     m = re.fullmatch(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", text.strip())
     if not m:
         raise ParseError(f"expected '(m,a)', got {text!r}")
@@ -186,16 +187,16 @@ def frac_right_lcm(p, q):
     return Lcm((l, big), (j, xp), (k, yp))
 
 
-def frac_semigroup(primes=(2, 3)):
-    """U with a finite generator list {(r,p) : p in primes, 0 <= r < p}.
+def frac_semigroup():
+    """U with the finite generator list {(r,p) : p in (2, 3), 0 <= r < p}.
 
     The generator list only bounds ball enumeration; multiplication,
     division and LCM are defined on all of U.
     """
-    gens = tuple((r, p) for p in primes for r in range(p))
+    gens = tuple((r, p) for p in (2, 3) for r in range(p))
 
     def parse(text):
-        r, x = _parse_pair(text)
+        r, x = parse_pair(text)
         if x < 1 or not 0 <= r < x:
             raise ParseError("need x >= 1 and 0 <= r < x")
         return (r, x)
@@ -214,69 +215,16 @@ def frac_semigroup(primes=(2, 3)):
 
 
 # ---------------------------------------------------------------------------
-# N x| Nx and Z x| Zx.
-
-def nxn_decompose(p):
-    """Unique factorization (m,a) = (m mod a, a) * (k, 1) with the first
-    factor in U and the second in A = {(k,1)}."""
-    m, a = p
-    r = m % a
-    return ((r, a), ((m - r) // a, 1))
-
-
-def nxn_semigroup(right_lcm=None):
-    def parse(text):
-        m, a = _parse_pair(text)
-        if m < 0 or a < 1:
-            raise ParseError("need m >= 0 and a >= 1")
-        return (m, a)
-
-    return Semigroup(
-        name="nxn",
-        identity=(0, 1),
-        multiply=frac_multiply,
-        generators=((1, 1), (0, 2), (0, 3)),
-        display=lambda p: f"({p[0]},{p[1]})",
-        is_unit=lambda p: p == (0, 1),
-        left_divide=frac_left_divide,
-        right_lcm=right_lcm,
-        parse=parse,
-    )
-
+# The affine monoids over N and Z, (m,a): n -> m + a*n, share the product
+# `frac_multiply`; catalog builds them around the split below.
 
 def zxz_decompose(p):
     """(m,a) = (m mod |a|, |a|) * (k, sign a) with the first factor in U
-    and the second in A = Z x {1,-1}."""
+    and the second in A = Z x {1,-1}; on a >= 1 the split of N x| Nx."""
     m, a = p
     x = abs(a)
     r = m % x
     return ((r, x), ((m - r) // x, a // x))
-
-
-def zxz_semigroup(right_lcm=None):
-    def left_divide(p, r):
-        (m, a), (n, b) = p, r
-        if b % a or (n - m) % a:
-            return None
-        return ((n - m) // a, b // a)
-
-    def parse(text):
-        m, a = _parse_pair(text)
-        if a == 0:
-            raise ParseError("multiplier must be nonzero")
-        return (m, a)
-
-    return Semigroup(
-        name="zxz",
-        identity=(0, 1),
-        multiply=frac_multiply,
-        generators=((1, 1), (0, -1), (0, 2), (0, 3)),
-        display=lambda p: f"({p[0]},{p[1]})",
-        is_unit=lambda p: p[1] in (1, -1),
-        left_divide=left_divide,
-        right_lcm=right_lcm,
-        parse=parse,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +341,3 @@ def bs_parse(text, c, d):
         word.append(m.group(1) * int(m.group(2) or 1))
     return bs_from_word(bs_normalize("".join(word), c, d), d)
 
-
-def bs_semigroup(c, d, right_lcm=None):
-    """BS(c,d)+ on its canonical normal forms.
-
-    The generator list {a, b} matches the group presentation; the ball
-    metric therefore counts a/b letters of a shortest spelling.
-    """
-    if c < 1 or d < 1:
-        raise ValueError("c and d must be positive")
-    return Semigroup(
-        name=f"bs:{c},{d}",
-        identity=((), 0),
-        multiply=lambda p, q: bs_multiply(p, q, c, d),
-        generators=(((0,), 0), ((), 1)),  # a, b
-        display=bs_display,
-        is_unit=lambda p: p == ((), 0),
-        left_divide=lambda p, r: bs_left_divide(p, r, c, d),
-        right_lcm=right_lcm,
-        parse=lambda t: bs_parse(t, c, d),
-    )

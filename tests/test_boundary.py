@@ -123,6 +123,23 @@ def test_suite_filtering():
     assert {c.suite for c in report.checks} == {"T1", "Q6"}
 
 
+def test_suites_are_selected_before_any_work(monkeypatch):
+    import rlcm.boundary as boundary
+    calls = []
+    real = boundary.affine_compose
+
+    def counted(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(boundary, "affine_compose", counted)
+    with pytest.raises(ValueError):
+        verify_boundary_suite("QN", suites=("T1", "nope"))
+    assert calls == []
+    verify_boundary_suite("QN", suites=("Q6",))
+    assert len(calls) == 2
+
+
 def test_model_isomorphism_identities():
     report = verify_model_isomorphisms()
     assert report.ok, str(report)

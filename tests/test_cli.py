@@ -105,6 +105,12 @@ def test_lcm_counterexample_prints_both_minimal_multiples():
     assert (code, out) == (1, "incomparable x2.y0 x2.y3\n")
 
 
+def test_normalize_counterexample_prints_both_minimal_multiples():
+    code, out = _run(["normalize", "--semigroup", "ftheta:2,2", "--radius",
+                      "1", "v(x0.)* v(.y0)"])
+    assert (code, out) == (1, "incomparable x0.y0 x0.y1\n")
+
+
 def test_bounded_foundation_counts_incomparable_multiples_as_hits():
     code, out = _run(["foundation", "--semigroup", "ftheta:2,2",
                       "--radius", "1", ".y0"])

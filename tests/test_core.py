@@ -9,6 +9,7 @@ from rlcm.catalog import get_semigroup
 from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer, Lcm,
                        brute_right_lcm, check_cancellativity_and_lcm,
                        enumerate_ball, lcm_equal_up_to_units)
+from rlcm.report import Report
 from rlcm.zoo import free_monoid, nat_add
 
 
@@ -121,6 +122,13 @@ def test_law_audit_detects_broken_identity():
     bad = dataclasses.replace(S, multiply=lambda p, q: p + q + ("" if q else "0"))
     report = check_cancellativity_and_lcm(bad, enumerate_ball(S, 2))
     assert not report.ok
+
+
+def test_empty_report_is_not_a_pass():
+    report = Report()
+    assert not report.ok
+    report.add("identity", 1, [])
+    assert report.ok
 
 
 words = st.text(alphabet="01", max_size=6)

@@ -1,6 +1,8 @@
 """Partial-injection tables over finite balls and the relation suites of
 the product presentations."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup, get_zs_descriptor
@@ -122,7 +124,8 @@ def test_oracle_check_detects_a_wrong_lcm():
         return Lcm(got.lcm + "0", got.p_comp + "0", got.q_comp + "0")
 
     tokens = [("0", True), ("01", False)]
-    _, _, bad = oracle_check_monomial(S, tokens, ctx, lcm=wrong_lcm)
+    _, _, bad = oracle_check_monomial(replace(S, right_lcm=wrong_lcm),
+                                      tokens, ctx)
     assert bad
 
 

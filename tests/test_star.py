@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -138,7 +139,8 @@ def test_bounded_mode_reports_undecided_near_the_ball_boundary():
     def flaky_lcm(p, q):
         raise BallTooSmall("forced")
 
-    got = is_foundation_set(S, ["0"], "bounded", ball=ball, lcm=flaky_lcm)
+    got = is_foundation_set(replace(S, right_lcm=flaky_lcm), ["0"],
+                            "bounded", ball=ball)
     assert got.status == UNDECIDED_BEYOND_BALL
 
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlcm.catalog import bs_semigroup, nxn_semigroup, zxz_semigroup
 from rlcm.core import DISJOINT
 from rlcm.zoo import (ParseError, bs_left_divide, bs_multiply, bs_normalize,
-                      bs_parse, bs_semigroup, bs_to_word, frac_right_lcm,
-                      frac_semigroup, free_monoid, int_add, nat_add,
-                      nxn_decompose, nxn_semigroup, zsign_group,
-                      zxz_decompose, zxz_semigroup)
+                      bs_parse, bs_to_word, frac_right_lcm, frac_semigroup,
+                      free_monoid, int_add, nat_add, zsign_group,
+                      zxz_decompose)
 
 # ---------------------------------------------------------------------------
 # frac: the semigroup of arithmetic progressions (r, x) = r + xN.
@@ -101,8 +101,8 @@ def test_affine_multiplication_examples():
 
 
 def test_affine_decompositions():
-    assert nxn_decompose((7, 4)) == ((3, 4), (1, 1))
-    assert nxn_decompose((5, 2)) == ((1, 2), (2, 1))
+    assert zxz_decompose((7, 4)) == ((3, 4), (1, 1))
+    assert zxz_decompose((5, 2)) == ((1, 2), (2, 1))
     assert zxz_decompose((-3, -2)) == ((1, 2), (-2, -1))
 
 
