@@ -11,6 +11,8 @@ LCM and joins the result.
 
 from __future__ import annotations
 
+import functools
+
 from . import zoo
 from .core import DISJOINT, Lcm, Semigroup
 from .selfsim import (adding_machine, bs_odometer, ftheta_semigroup,
@@ -19,15 +21,21 @@ from .zs import ZSDescriptor, zs_right_lcm, zs_semigroup
 
 
 def ssa_zs_descriptor(D, A, name):
-    """Free monoid ⋈ A from a letterwise self-similar action."""
-    U = zoo.free_monoid(D.n_letters)
+    """Free monoid ⋈ A from a letterwise self-similar action.
+
+    The action and the restriction read one walk of the word, cached per
+    descriptor together with the inverse walk, so each distinct (a, u)
+    is walked once for the descriptor's lifetime.
+    """
+    act_res = functools.cache(lambda a, u: ssa_act_word(D, a, u))
+    act_inv = functools.cache(lambda a, u: ssa_act_inverse_word(D, a, u))
     return ZSDescriptor(
         name=name,
-        U=U,
+        U=zoo.free_monoid(D.n_letters),
         A=A,
-        action=lambda a, u: ssa_act_word(D, a, u)[0],
-        restriction=lambda a, u: ssa_act_word(D, a, u)[1],
-        action_inverse=lambda a, u: ssa_act_inverse_word(D, a, u),
+        action=lambda a, u: act_res(a, u)[0],
+        restriction=lambda a, u: act_res(a, u)[1],
+        action_inverse=act_inv,
     )
 
 
@@ -100,10 +108,13 @@ def zxz_zs():
 def ftheta_zs(m, n):
     """F ⋈ Z where F is the two-alphabet monoid for the standard table
     and the integer k acts as the base-m odometer on the x-part, its
-    carry continuing as the base-n odometer on the y-part."""
+    carry continuing as the base-n odometer on the y-part.  As for the
+    letterwise products, one cached walk gives the action, the
+    restriction and (at -k) the inverse action."""
     T = theta_build(m, n)
     DX, DY = adding_machine(m), adding_machine(n)
 
+    @functools.cache
     def action_res(k, z):
         xs, ys = z
         xs2, ys2 = [], []

@@ -6,7 +6,8 @@ the shared format
 
     RESULT <PASS|FAIL|UNDECIDED> <suite> checked=N failed=M [witness ...]
 
-and the exit code is 0 when nothing failed, 1 on FAIL, 2 on bad input.
+and the exit code is 0 when nothing failed, 1 on FAIL, 2 on bad input
+or on a --radius too small to decide.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import re
 import sys
 
 from . import boundary, catalog, zoo
-from .core import (DISJOINT, BruteForcer, IncomparableMultiples,
-                   enumerate_ball)
+from .core import (DISJOINT, BallTooSmall, BruteForcer,
+                   IncomparableMultiples, enumerate_ball)
 from .report import FAIL, Report
 from .selfsim import ftheta_right_lcm_survey, theta_build
 from .star import VV, is_foundation_set, mono_display, word_normalize
@@ -62,10 +63,9 @@ def build_parser():
     return top
 
 
-def parse_element(selector, text):
-    S = catalog.get_semigroup(selector)
+def parse_element(S, text):
     if S.parse is None:
-        raise zoo.ParseError(f"{selector} has no element grammar")
+        raise zoo.ParseError(f"{S.name} has no element grammar")
     return S.parse(text)
 
 
@@ -113,11 +113,30 @@ def _parse_flex(S, inner):
 
 def _with_lcm(S, radius):
     """S when it has a closed-form right LCM, else S with the brute-force
-    oracle over its radius max(2*radius, 4) ball as its right LCM."""
+    oracle over its radius max(2*radius, 4) ball as its right LCM.
+
+    An empty ball search is a certificate of DISJOINT only when p and q
+    lie in the ball with length(p) + length(q) <= radius: in a monoid
+    graded by word length, such as ftheta, a common multiple appears by
+    the joined degree, which is at most that sum.  Otherwise the oracle
+    raises BallTooSmall.
+    """
     if S.right_lcm is not None:
         return S
-    brute = BruteForcer(S, enumerate_ball(S, max(2 * radius, 4)))
-    return dataclasses.replace(S, right_lcm=brute.right_lcm)
+    ball = enumerate_ball(S, max(2 * radius, 4))
+    brute = BruteForcer(S, ball)
+
+    def right_lcm(p, q):
+        got = brute.right_lcm(p, q)
+        if got is DISJOINT and not (
+                p in ball and q in ball
+                and ball.length(p) + ball.length(q) <= ball.radius):
+            raise BallTooSmall(
+                f"{S.name}: no common multiple of {S.display(p)} and "
+                f"{S.display(q)} in the radius-{ball.radius} ball")
+        return got
+
+    return dataclasses.replace(S, right_lcm=right_lcm)
 
 
 def _incomparable(S, e):
@@ -132,6 +151,9 @@ def run(argv=None):
         return _dispatch(ns)
     except (zoo.ParseError, boundary.UnknownModel, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BallTooSmall as e:
+        print(f"error: {e} (use a larger --radius)", file=sys.stderr)
         return 2
 
 
@@ -154,14 +176,14 @@ def _dispatch(ns):
         S = catalog.get_semigroup(sel)
         out = S.identity
         for text in ns.args:
-            out = S.multiply(out, parse_element(sel, text))
+            out = S.multiply(out, parse_element(S, text))
         print(S.display(out))
         return 0
 
     if ns.verb == "lcm":
         sel = _need(ns, "semigroup")
         S = catalog.get_semigroup(sel)
-        p, q = (parse_element(sel, t) for t in ns.args)
+        p, q = (parse_element(S, t) for t in ns.args)
         S = _with_lcm(S, ns.radius)
         try:
             got = S.right_lcm(p, q)
@@ -213,7 +235,7 @@ def _dispatch(ns):
     if ns.verb == "foundation":
         sel = _need(ns, "semigroup")
         S = catalog.get_semigroup(sel)
-        F = [parse_element(sel, t) for t in ns.args]
+        F = [parse_element(S, t) for t in ns.args]
         if ns.mode == "exact":
             verdict = is_foundation_set(S, F, "exact")
         else:
@@ -250,7 +272,7 @@ def _dispatch(ns):
 
     if ns.verb == "decompose":
         sel = _need(ns, "semigroup")
-        p = parse_element(sel, ns.args[0])
+        p = parse_element(catalog.get_semigroup(sel), ns.args[0])
         D, split, _join = catalog.product_form(sel)
         u, a = split(p)
         # The shift k of N x| Nx shows as the affine map (k,1).

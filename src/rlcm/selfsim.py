@@ -105,7 +105,9 @@ class ThetaTable:
 
     Stored as a mapping (j, i) -> (i', j') with its inverse; arbitrary
     bijections are accepted so that deliberately broken tables can be
-    fed to the checkers.
+    fed to the checkers.  The table also keeps the results of the letter
+    pushes that rewrite words over it (`_push_x`, `_push_y`), so each
+    distinct push is computed once per table.
     """
 
     def __init__(self, m, n, table):
@@ -117,6 +119,8 @@ class ThetaTable:
         self.inv = {v: k for k, v in self.table.items()}
         if len(self.inv) != m * n:
             raise ValueError("table is not a bijection")
+        self.x_pushes = {}
+        self.y_pushes = {}
 
     def theta(self, j, i):
         return self.table[(j, i)]
@@ -148,21 +152,29 @@ def theta_swap(T, key1, key2):
 
 def _push_x(T, ys, i):
     """Move one x-letter left through a block of y-letters."""
-    out = []
-    for j in reversed(ys):
-        i, j2 = T.theta(j, i)
-        out.append(j2)
-    return i, tuple(reversed(out))
+    key = (ys, i)
+    got = T.x_pushes.get(key)
+    if got is None:
+        out = []
+        for j in reversed(ys):
+            i, j2 = T.theta(j, i)
+            out.append(j2)
+        got = T.x_pushes[key] = (i, tuple(reversed(out)))
+    return got
 
 
 def _push_y(T, xs, j):
     """Move one y-letter left through a block of x-letters (inverse
     rewriting x_i y_j -> y_j' x_i')."""
-    out = []
-    for i in reversed(xs):
-        j, i2 = T.theta_inv(i, j)
-        out.append(i2)
-    return j, tuple(reversed(out))
+    key = (xs, j)
+    got = T.y_pushes.get(key)
+    if got is None:
+        out = []
+        for i in reversed(xs):
+            j, i2 = T.theta_inv(i, j)
+            out.append(i2)
+        got = T.y_pushes[key] = (j, tuple(reversed(out)))
+    return got
 
 
 def ftheta_multiply(T, z1, z2):

@@ -338,7 +338,7 @@ def test_round_trip_and_determinism():
         S = get_semigroup(selector)
         for x in enumerate_ball(S, 3):
             elements += 1
-            ok &= parse_element(selector, S.display(x)) == x
+            ok &= parse_element(S, S.display(x)) == x
 
     def capture(argv):
         buf = io.StringIO()

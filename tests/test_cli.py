@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from rlcm import catalog
 from rlcm.catalog import REGISTERED_SELECTORS, get_semigroup
 from rlcm.cli import parse_element, run
 from rlcm.core import enumerate_ball
@@ -118,6 +119,49 @@ def test_bounded_foundation_counts_incomparable_multiples_as_hits():
         1, "RESULT FAIL foundation checked=1 failed=1 NotFoundation(x1.)\n")
 
 
+def test_too_small_radius_is_an_error_not_a_traceback(capsys):
+    code = run(["lcm", "--semigroup", "ftheta:2,2", "--radius", "1",
+                "x0.y0y0", "x0x0.y0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ftheta:2,2: ")
+    assert captured.err.endswith(" (use a larger --radius)\n")
+
+
+def test_ball_fallback_says_disjoint_only_with_a_certificate():
+    # Both operands have common multiples at bidegree (2, 3), beyond the
+    # radius-4 ball; an empty search there proves nothing.
+    argv = ["lcm", "--semigroup", "ftheta:2,2", "x0.y0y1y0", "x0x0.y1"]
+    assert _run([*argv[:3], "--radius", "1", *argv[3:]]) == (2, "")
+    assert _run([*argv[:3], "--radius", "4", *argv[3:]]) == (
+        1, "incomparable x0x0.y1y0y0 x0x0.y1y0y1\n")
+    # Operands whose lengths sum to at most the radius: a true DISJOINT.
+    code, out = _run(["lcm", "--semigroup", "ftheta:2,2", "--radius", "1",
+                      "x0.", "x1."])
+    assert (code, out) == (0, "disjoint\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcm", "--semigroup", "bs:2,3", "a*b", "b^2*a"],
+    ["lcm", "--semigroup", "ftheta:2,2", "--radius", "1", "x0.", ".y1"],
+    ["foundation", "--semigroup", "free:2", "--mode", "exact", "0", "10",
+     "11"],
+    ["foundation", "--semigroup", "ftheta:2,2", "--radius", "1", ".y0",
+     "x1."],
+])
+def test_each_request_builds_its_semigroup_once(monkeypatch, argv):
+    calls = []
+    real = catalog.get_semigroup
+
+    def counted(selector):
+        calls.append(selector)
+        return real(selector)
+
+    monkeypatch.setattr(catalog, "get_semigroup", counted)
+    _run(argv)
+    assert calls == [argv[2]]
+
+
 def test_verbs_reject_flags_they_do_not_read():
     with pytest.raises(SystemExit) as exc:
         _run(["mul", "--semigroup", "nat", "--radius", "2", "1"])
@@ -128,7 +172,7 @@ def test_parse_display_round_trip_on_small_balls():
     for selector in REGISTERED_SELECTORS:
         S = get_semigroup(selector)
         for x in enumerate_ball(S, 2):
-            assert parse_element(selector, S.display(x)) == x, selector
+            assert parse_element(S, S.display(x)) == x, selector
 
 
 def test_reports_are_deterministic():

@@ -184,6 +184,76 @@ def test_every_single_swap_is_detected():
         assert not report.ok, f"swap {k1}<->{k2} went undetected"
 
 
+def _rewrite(letters, rule):
+    """Apply a two-letter rewriting rule anywhere until none applies."""
+    letters = list(letters)
+    k = 0
+    while k < len(letters) - 1:
+        got = rule(letters[k], letters[k + 1])
+        if got is None:
+            k += 1
+        else:
+            letters[k:k + 2] = got
+            k = 0
+    return letters
+
+
+def _plain_multiply(T, z1, z2):
+    """z1*z2 by rewriting y_j x_i -> x_i' y_j' on the letter sequence."""
+    def rule(a, b):
+        if a[0] == "y" and b[0] == "x":
+            i, j = T.table[(a[1], b[1])]
+            return [("x", i), ("y", j)]
+        return None
+
+    seq = [("x", i) for i in z1[0]] + [("y", j) for j in z1[1]]
+    seq += [("x", i) for i in z2[0]] + [("y", j) for j in z2[1]]
+    out = _rewrite(seq, rule)
+    return (tuple(i for k, i in out if k == "x"),
+            tuple(j for k, j in out if k == "y"))
+
+
+def _plain_anti_normal(T, z):
+    """z in Y*X* order by rewriting x_i y_j -> y_j' x_i'."""
+    def rule(a, b):
+        if a[0] == "x" and b[0] == "y":
+            j, i = T.inv[(a[1], b[1])]
+            return [("y", j), ("x", i)]
+        return None
+
+    out = _rewrite([("x", i) for i in z[0]] + [("y", j) for j in z[1]], rule)
+    return (tuple(j for k, j in out if k == "y"),
+            tuple(i for k, i in out if k == "x"))
+
+
+def test_cached_rewriting_is_per_table():
+    T = theta_build(2, 3)
+    words = [(xs, ys) for p in range(4) for q in range(4 - p)
+             for xs in itertools.product(range(2), repeat=p)
+             for ys in itertools.product(range(3), repeat=q)]
+    pairs = list(itertools.product(words, repeat=2))
+    std = {(z1, z2): ftheta_multiply(T, z1, z2) for z1, z2 in pairs}
+    std_anti = {z: ftheta_anti_normal(T, z) for z in words}
+    # The standard table's caches are warm; a mutant built from it must
+    # rewrite with its own table, on its cold calls and its warm ones.
+    mutant = theta_swap(T, (0, 0), (1, 1))
+    for _state in ("cold", "warm"):
+        for z1, z2 in pairs:
+            assert (ftheta_multiply(mutant, z1, z2)
+                    == _plain_multiply(mutant, z1, z2)), (z1, z2)
+        for z in words:
+            assert ftheta_anti_normal(mutant, z) == _plain_anti_normal(
+                mutant, z), z
+    assert any(ftheta_multiply(mutant, z1, z2) != got
+               for (z1, z2), got in std.items())
+    assert any(ftheta_anti_normal(mutant, z) != got
+               for z, got in std_anti.items())
+    for (z1, z2), got in std.items():
+        assert got == _plain_multiply(T, z1, z2) == ftheta_multiply(T, z1, z2)
+    for z, got in std_anti.items():
+        assert got == _plain_anti_normal(T, z) == ftheta_anti_normal(T, z)
+
+
 def test_survey_finds_counterexamples_iff_not_coprime():
     for m, n in ((2, 2), (2, 4), (4, 6)):
         verdict = ftheta_right_lcm_survey(theta_build(m, n), (2, 2))

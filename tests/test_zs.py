@@ -8,6 +8,7 @@ import pytest
 from rlcm.catalog import EXAMPLE_ZS_NAMES, get_zs_descriptor
 from rlcm.core import DISJOINT, enumerate_ball
 from rlcm.report import FAIL
+from rlcm.selfsim import adding_machine, bs_odometer
 from rlcm.zs import (HypothesisViolation, ZSDescriptor, zs_axiom_check,
                      zs_left_divide, zs_multiply, zs_right_lcm, zs_semigroup)
 from rlcm.zoo import free_monoid, nat_add
@@ -129,3 +130,57 @@ def test_pure_products_of_generators():
     assert P.multiply(((0, 2), 0), ((0, 3), 1)) == ((0, 6), 1)
     # the A part acts before landing: ((0,1) ; 1) * ((0,2) ; 0)
     assert P.multiply(((0, 1), 1), ((0, 2), 0)) == ((1, 2), 0)
+
+
+# ---------------------------------------------------------------------------
+# The self-similar products cache their matching per descriptor; every
+# cached value must equal a plain walk, whether the cache is cold or warm.
+
+SELF_SIMILAR = [n for n in EXAMPLE_ZS_NAMES if n not in ("nxn", "zxz")]
+
+
+def _letter_actions(name):
+    """The letterwise actions a U-element is walked through, in order."""
+    kind, _, args = name.partition(":")
+    if kind == "add":
+        return (adding_machine(int(args)),)
+    c, d = (int(x) for x in args.split(","))
+    if kind == "bs":
+        return (bs_odometer(c, d),)
+    return adding_machine(c), adding_machine(d)  # ftheta: x-part, y-part
+
+
+def _plain_walk(machines, a, u):
+    """(a·u, a|_u) by one uncached loop over the letters of u."""
+    parts = (u,) if isinstance(u, str) else u
+    out = []
+    for L, part in zip(machines, parts):
+        letters = []
+        for x in part:
+            letters.append(L.act(a, int(x)))
+            a = L.res(a, int(x))
+        out.append(letters)
+    if isinstance(u, str):
+        return "".join(map(str, out[0])), a
+    return tuple(map(tuple, out)), a
+
+
+@pytest.mark.parametrize("name", SELF_SIMILAR)
+def test_cached_matching_equals_the_plain_walk(name):
+    machines = _letter_actions(name)
+    D0 = get_zs_descriptor(name)
+    us = list(enumerate_ball(D0.U, 3))
+    avs = list(enumerate_ball(D0.A, 3))
+    walks = {(a, u): _plain_walk(machines, a, u) for a in avs for u in us}
+    want = {"action": {k: w[0] for k, w in walks.items()},
+            "restriction": {k: w[1] for k, w in walks.items()},
+            # The radius-3 U ball holds every word up to its length, and
+            # the action keeps lengths, so each a permutes it.
+            "action_inverse": {(a, au): u
+                               for (a, u), (au, _r) in walks.items()}}
+    for field, expected in want.items():
+        D = get_zs_descriptor(name)  # a fresh descriptor, cold caches
+        f = getattr(D, field)
+        for state in ("cold", "warm"):
+            got = {(a, u): f(a, u) for a, u in expected}
+            assert got == expected, f"{name} {field} ({state})"
