@@ -23,7 +23,7 @@ from .core import (DISJOINT, BallTooSmall, BruteForcer,
 from .report import FAIL, Report
 from .selfsim import ftheta_right_lcm_survey, theta_build
 from .star import VV, is_foundation_set, mono_display, word_normalize
-from .zs import zs_axiom_check
+from .zs import zs_axiom_check, zs_semigroup
 
 
 #: Every flag, with its argparse settings; each verb takes only those it
@@ -78,9 +78,11 @@ def parse_token_word(selector, text):
     For product selectors (zs:...), t and s name elements of the two
     factors; elsewhere all letters share the element grammar.
     """
-    S = catalog.get_semigroup(selector)
-    D = catalog.get_zs_descriptor(selector[3:]) \
-        if selector.startswith("zs:") else None
+    if selector.startswith("zs:"):
+        D = catalog.get_zs_descriptor(selector[3:])
+        S = zs_semigroup(D)
+    else:
+        S, D = catalog.get_semigroup(selector), None
     out = []
     for tok in text.split():
         m = TOKEN_RE.match(tok)

@@ -149,7 +149,10 @@ class BruteForcer:
     in T) instead of the multiples inside `ball`.  This reaches the
     least common multiple of long p, q without enumerating a huge
     product ball; lengths and the boundary margin are then measured on
-    the complements.
+    the complements.  Each product p*t is interned once per oracle as a
+    small int id, and each map p*T is kept as two numpy arrays: the
+    sorted ids and the minimal length of t for each; a pair's common
+    multiples are the intersection of two id arrays.
     """
 
     def __init__(self, S, ball, complements=None):
@@ -159,6 +162,13 @@ class BruteForcer:
         self._multiples = {}
         self._mult_maps = {}
         self._pair_cache = {}
+        self._ids = {}      # interned product -> id
+        self._elems = []    # id -> interned product
+        if complements is not None:
+            # Imported here so that ball mode (the CLI's) never loads it.
+            import numpy as np
+            self._t_lengths = np.array([complements.length(t)
+                                        for t in complements], dtype=np.intp)
 
     def multiples_in_ball(self, p):
         cached = self._multiples.get(p)
@@ -169,16 +179,25 @@ class BruteForcer:
         return cached
 
     def _mult_map(self, p):
-        """Map {p*t: minimal length of such t} over the complement ball."""
+        """The multiples p*t over the complement ball, as (sorted ids of
+        p*T, minimal length of such t for each id)."""
         cached = self._mult_maps.get(p)
         if cached is None:
-            mul = self.S.multiply
-            T = self.complements
-            cached = {}
-            for t in T:  # enumeration order is by increasing length
+            import numpy as np
+            mul, ids, elems = self.S.multiply, self._ids, self._elems
+            row = []
+            for t in self.complements:
                 m = mul(p, t)
-                if m not in cached:
-                    cached[m] = T.length(t)
+                i = ids.get(m)
+                if i is None:
+                    i = ids[m] = len(elems)
+                    elems.append(m)
+                row.append(i)
+            # The ball is enumerated by increasing length, so the first
+            # t giving each product is a shortest one.
+            uniq, first = np.unique(np.array(row, dtype=np.intp),
+                                    return_index=True)
+            cached = (uniq, self._t_lengths[first])
             self._mult_maps[p] = cached
         return cached
 
@@ -210,10 +229,17 @@ class BruteForcer:
         return result
 
     def _search_complements(self, p, q):
-        mp, mq = self._mult_map(p), self._mult_map(q)
-        common = {m: max(mp[m], mq[m]) for m in mp.keys() & mq.keys()}
-        if not common:
+        import numpy as np
+        (ip, lp), (iq, lq) = self._mult_map(p), self._mult_map(q)
+        # Either map may hold ids that the other lacks, beyond its last.
+        at = np.minimum(np.searchsorted(iq, ip), len(iq) - 1)
+        hit = iq[at] == ip
+        if not hit.any():
             return DISJOINT
+        lengths = np.maximum(lp[hit], lq[at[hit]])
+        elems = self._elems
+        common = {elems[i]: n
+                  for i, n in zip(ip[hit].tolist(), lengths.tolist())}
         return self._certify(p, q, common, common.__getitem__,
                              self.complements.radius)
 

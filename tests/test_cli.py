@@ -2,7 +2,11 @@
 deterministic reports."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from rlcm import catalog
 from rlcm.catalog import REGISTERED_SELECTORS, get_semigroup
 from rlcm.cli import parse_element, run
 from rlcm.core import enumerate_ball
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _run(argv):
@@ -160,6 +166,40 @@ def test_each_request_builds_its_semigroup_once(monkeypatch, argv):
     monkeypatch.setattr(catalog, "get_semigroup", counted)
     _run(argv)
     assert calls == [argv[2]]
+
+
+def test_normalize_builds_a_product_descriptor_once(monkeypatch):
+    calls = []
+    real = catalog.get_zs_descriptor
+
+    def counted(name):
+        calls.append(name)
+        return real(name)
+
+    monkeypatch.setattr(catalog, "get_zs_descriptor", counted)
+    code, out = _run(["normalize", "--semigroup", "zs:nxn",
+                      "t(0,2)* t(1,2)"])
+    assert (code, out) == (0, "0\n")
+    assert calls == ["nxn"]
+
+
+def test_cli_start_up_does_not_load_numpy():
+    # The CLI's own oracle is ball mode; only complement mode and the
+    # operator tables of check-relations need numpy.
+    script = (
+        "import sys, io, contextlib\n"
+        "import rlcm.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = rlcm.cli.run(['lcm', '--semigroup', 'ftheta:2,2',\n"
+        "                         '--radius', '1', 'x0.', 'x1.'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'lcm'\n")
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verbs_reject_flags_they_do_not_read():

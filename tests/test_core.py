@@ -1,14 +1,17 @@
 """Ball enumeration, the brute-force right-LCM oracle and the monoid
 law audit."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlcm.catalog import get_semigroup
-from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer, Lcm,
-                       brute_right_lcm, check_cancellativity_and_lcm,
-                       enumerate_ball, lcm_equal_up_to_units)
+from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup
+from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer,
+                       IncomparableMultiples, Lcm, brute_right_lcm,
+                       check_cancellativity_and_lcm, enumerate_ball,
+                       lcm_equal_up_to_units)
 from rlcm.report import Report
 from rlcm.zoo import free_monoid, nat_add
 
@@ -90,6 +93,109 @@ def test_complement_search_reaches_beyond_any_small_ball():
     got = brute.right_lcm((0, 8), (0, 27))
     assert got is not DISJOINT
     assert got.lcm[1] == 216
+
+
+def _outcome(search, p, q):
+    """A search's result, or its exception as comparable fields."""
+    try:
+        return search(p, q)
+    except BallTooSmall as e:
+        return ("BallTooSmall", str(e))
+    except IncomparableMultiples as e:
+        return ("IncomparableMultiples", e.p, e.q, e.witnesses)
+
+
+def _reference_search(oracle):
+    """The complement search on plain dicts {p*t: minimal length of t},
+    fed to the oracle's own certificate; (search, mult_map)."""
+    S, T = oracle.S, oracle.complements
+    maps = {}
+
+    def mult_map(x):
+        if x not in maps:
+            maps[x] = {}
+            for t in T:
+                maps[x].setdefault(S.multiply(x, t), T.length(t))
+        return maps[x]
+
+    def search(p, q):
+        mp, mq = mult_map(p), mult_map(q)
+        common = {m: max(mp[m], mq[m]) for m in mp.keys() & mq.keys()}
+        if not common:
+            return DISJOINT
+        return oracle._certify(p, q, common, common.__getitem__, T.radius)
+
+    return search, mult_map
+
+
+def _interleaved_pairs(elems):
+    """Every ordered pair, each element's map first needed after the
+    searches among the earlier ones: a new map holds ids past the end of
+    every older map, and is searched into them and they into it."""
+    for i, p in enumerate(elems):
+        for q in elems[:i + 1]:
+            yield p, q
+            if q != p:
+                yield q, p
+
+
+def _complement_oracle(selector, radius=2, complements=4):
+    S = get_semigroup(selector)
+    return BruteForcer(S, enumerate_ball(S, radius),
+                       complements=enumerate_ball(S, complements))
+
+
+#: (selector, ball radius, complement radius).  ftheta:4,6 has pairs
+#: without a right LCM; its known pair x2., .y2 lies in the radius-1
+#: ball and its two minimal multiples in the radius-3 complement ball,
+#: which keeps the quadratic minimality scan short.
+SEARCHED = [(f"zs:{name}", 2, 4) for name in EXAMPLE_ZS_NAMES] \
+    + [("ftheta:4,6", 1, 3)]
+
+
+@pytest.mark.parametrize("selector, radius, complements", SEARCHED)
+def test_interned_search_matches_the_dict_reference(selector, radius,
+                                                    complements):
+    oracle = _complement_oracle(selector, radius, complements)
+    reference, reference_map = _reference_search(oracle)
+    S = oracle.S
+    kinds = set()
+    for p, q in _interleaved_pairs(list(oracle.ball)):
+        got = _outcome(oracle._search_complements, p, q)
+        assert got == _outcome(reference, p, q), (S.display(p),
+                                                  S.display(q))
+        kinds.add(got[0] if isinstance(got, tuple) else type(got))
+    assert Lcm in kinds
+    if selector == "ftheta:4,6":
+        assert "IncomparableMultiples" in kinds
+    for p in oracle.ball:
+        ids, lengths = oracle._mult_map(p)
+        got = dict(zip([oracle._elems[i] for i in ids.tolist()],
+                       lengths.tolist()))
+        assert got == reference_map(p), S.display(p)
+
+
+def test_interned_ids_belong_to_one_oracle():
+    selectors = ("zs:zxz", "zs:bs:2,3")
+    alone = {}
+    for sel in selectors:
+        brute = _complement_oracle(sel)
+        pairs = list(itertools.product(brute.ball, repeat=2))
+        alone[sel] = (pairs, [_outcome(brute.right_lcm, p, q)
+                              for p, q in pairs])
+    mixed = {sel: _complement_oracle(sel) for sel in selectors}
+    got = {sel: [] for sel in selectors}
+    for step in itertools.zip_longest(*(alone[s][0] for s in selectors)):
+        for sel, pair in zip(selectors, step):
+            if pair is not None:
+                got[sel].append(_outcome(mixed[sel].right_lcm, *pair))
+    for sel in selectors:
+        assert got[sel] == alone[sel][1], sel
+        brute = mixed[sel]
+        S, T = brute.S, brute.complements
+        products = {S.multiply(p, t) for p in brute._mult_maps for t in T}
+        assert set(brute._elems) == products, sel
+        assert len(brute._elems) == len(products), sel
 
 
 def test_lcm_record_complements_multiply_back():

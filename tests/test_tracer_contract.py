@@ -6,6 +6,8 @@ tracer without changing it and check that both hooks still hold."""
 import dataclasses
 import importlib
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -15,11 +17,15 @@ from rlcm import catalog
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _targets():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
+
+
+def _targets():
+    return _tracer_module().TARGETS
 
 
 def test_every_tracer_target_resolves():
@@ -73,3 +79,51 @@ def test_family_lcms_run_through_the_swapped_name(matching_calls, selector):
     gens = S.generators
     S.right_lcm(gens[0], gens[-1])
     assert calls
+
+
+@pytest.fixture
+def traced_package():
+    """A fresh import of the package with the tracer installed, as the
+    benchmark does each round; the copy the other tests use is put back
+    afterwards."""
+    def ours():
+        return [k for k in sys.modules if k == "rlcm" or k.startswith("rlcm.")]
+
+    saved = {k: sys.modules.pop(k) for k in ours()}
+    try:
+        names = sorted({mod for _, mod, _, _ in _targets()})
+        rl = types.SimpleNamespace(
+            **{m: importlib.import_module(f"rlcm.{m}") for m in names})
+        rl.modules = [sys.modules["rlcm"]] + [getattr(rl, m) for m in names]
+        tracer = _tracer_module().Tracer()
+        tracer.install(rl)
+        yield rl, tracer
+    finally:
+        for k in ours():
+            del sys.modules[k]
+        sys.modules.update(saved)
+
+
+def test_oracle_counters_count_maps_and_searches(traced_package):
+    rl, tracer = traced_package
+    core = rl.core
+    S = rl.catalog.get_semigroup("zs:bs:2,3")
+    ball = core.enumerate_ball(S, 2)
+    oracle = core.BruteForcer(S, ball, complements=core.enumerate_ball(S, 4))
+    pairs = [(p, q) for p in ball for q in ball]
+    # Comparable pairs need no search, and the pair cache answers (q, p)
+    # from (p, q): each other unordered pair is searched once.
+    searched = {frozenset(pair) for pair in pairs
+                if S.left_divide(*pair) is None
+                and S.left_divide(*reversed(pair)) is None}
+    assert searched
+    tracer.recording = True
+    for p, q in pairs:
+        try:
+            oracle.right_lcm(p, q)
+        except (core.BallTooSmall, core.IncomparableMultiples):
+            pass
+    tracer.recording = False
+    assert tracer.missing == []
+    assert len(tracer.mult_map_keys) == len(set().union(*searched))
+    assert tracer.counters["core.brute.searches"] == len(searched)
