@@ -6,20 +6,18 @@ the shared format
 
     RESULT <PASS|FAIL|UNDECIDED> <suite> checked=N failed=M [witness ...]
 
-and the exit code is 0 when nothing failed, 1 on FAIL, 2 on bad input
-or on a --radius too small to decide.
+and the exit code is 0 when nothing failed, 1 on FAIL or on a found
+counterexample to the right-LCM property, 2 on bad input.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 import sys
 
 from . import boundary, catalog, zoo
-from .core import (DISJOINT, BallTooSmall, BruteForcer,
-                   IncomparableMultiples, enumerate_ball)
+from .core import DISJOINT, IncomparableMultiples, enumerate_ball
 from .report import FAIL, Report
 from .selfsim import ftheta_right_lcm_survey, theta_build
 from .star import VV, is_foundation_set, mono_display, word_normalize
@@ -48,11 +46,13 @@ def build_parser():
             p.add_argument(f"--{flag}", **FLAGS[flag])
         if args is not None:
             p.add_argument("args", nargs=args)
+        return p
 
     verb("mul", "multiply elements", "semigroup", args="+")
-    verb("lcm", "right LCM of two elements", "semigroup", "radius", args=2)
-    verb("normalize", "collapse a *-token word", "semigroup", "radius",
-         args=1)
+    lcm = verb("lcm", "right LCM of two elements", "semigroup", args=2)
+    lcm.add_argument("--radius", **FLAGS["radius"],
+                     help="accepted and ignored: the right LCM is exact")
+    verb("normalize", "collapse a *-token word", "semigroup", args=1)
     verb("check-axioms", "product matching axioms", "semigroup", "radius")
     verb("check-relations", "relation suites", "model", "suite",
          "semigroup", "radius")
@@ -113,34 +113,6 @@ def _parse_flex(S, inner):
         return S.parse(f"({inner})")
 
 
-def _with_lcm(S, radius):
-    """S when it has a closed-form right LCM, else S with the brute-force
-    oracle over its radius max(2*radius, 4) ball as its right LCM.
-
-    An empty ball search is a certificate of DISJOINT only when p and q
-    lie in the ball with length(p) + length(q) <= radius: in a monoid
-    graded by word length, such as ftheta, a common multiple appears by
-    the joined degree, which is at most that sum.  Otherwise the oracle
-    raises BallTooSmall.
-    """
-    if S.right_lcm is not None:
-        return S
-    ball = enumerate_ball(S, max(2 * radius, 4))
-    brute = BruteForcer(S, ball)
-
-    def right_lcm(p, q):
-        got = brute.right_lcm(p, q)
-        if got is DISJOINT and not (
-                p in ball and q in ball
-                and ball.length(p) + ball.length(q) <= ball.radius):
-            raise BallTooSmall(
-                f"{S.name}: no common multiple of {S.display(p)} and "
-                f"{S.display(q)} in the radius-{ball.radius} ball")
-        return got
-
-    return dataclasses.replace(S, right_lcm=right_lcm)
-
-
 def _incomparable(S, e):
     """A found counterexample: two minimal common multiples, exit 1."""
     print("incomparable " + " ".join(S.display(w) for w in e.witnesses))
@@ -153,9 +125,6 @@ def run(argv=None):
         return _dispatch(ns)
     except (zoo.ParseError, boundary.UnknownModel, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except BallTooSmall as e:
-        print(f"error: {e} (use a larger --radius)", file=sys.stderr)
         return 2
 
 
@@ -186,7 +155,6 @@ def _dispatch(ns):
         sel = _need(ns, "semigroup")
         S = catalog.get_semigroup(sel)
         p, q = (parse_element(S, t) for t in ns.args)
-        S = _with_lcm(S, ns.radius)
         try:
             got = S.right_lcm(p, q)
         except IncomparableMultiples as e:
@@ -201,7 +169,6 @@ def _dispatch(ns):
     if ns.verb == "normalize":
         sel = _need(ns, "semigroup")
         S, tokens = parse_token_word(sel, ns.args[0])
-        S = _with_lcm(S, ns.radius)
         try:
             mono = word_normalize(S, tokens)
         except IncomparableMultiples as e:
@@ -241,9 +208,8 @@ def _dispatch(ns):
         if ns.mode == "exact":
             verdict = is_foundation_set(S, F, "exact")
         else:
-            ball = enumerate_ball(S, ns.radius)
-            verdict = is_foundation_set(_with_lcm(S, ns.radius), F,
-                                        "bounded", ball=ball)
+            verdict = is_foundation_set(S, F, "bounded",
+                                        ball=enumerate_ball(S, ns.radius))
         report = Report()
         report.add("foundation", len(F),
                    [] if verdict.ok else [f"{verdict.status}"

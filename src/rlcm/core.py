@@ -60,8 +60,8 @@ class Semigroup:
     """Value-level contract for one concrete monoid.
 
     `left_divide(p, r)` returns the unique q with p*q == r, or None.
-    `right_lcm(p, q)` is the closed form (DISJOINT or Lcm) where one is
-    known; semigroups without one leave it None and rely on brute force.
+    `right_lcm(p, q)` is the exact right LCM: DISJOINT, an Lcm, or
+    IncomparableMultiples when p and q have two minimal common multiples.
     Right LCMs are only canonical up to right multiplication by a unit,
     so comparisons between two LCM computations must go through
     `lcm_equal_up_to_units`.
@@ -74,7 +74,7 @@ class Semigroup:
     display: Callable[[Any], str]
     is_unit: Callable[[Any], bool]
     left_divide: Callable[[Any, Any], Optional[Any]]
-    right_lcm: Optional[Callable[[Any, Any], Any]] = None
+    right_lcm: Callable[[Any, Any], Any]
     parse: Optional[Callable[[str], Any]] = None
 
 
@@ -211,17 +211,16 @@ class BruteForcer:
         d = S.left_divide(q, p)
         if d is not None:
             return Lcm(p, S.identity, d)
-        cached = self._pair_cache.get((q, p))
-        if cached is None:
+        result = self._pair_cache.get((p, q))
+        if result is None:
             try:
                 result = self._search_complements(p, q)
             except BallTooSmall as e:
                 result = e
             self._pair_cache[(p, q)] = result
-        elif isinstance(cached, Lcm):
-            result = Lcm(cached.lcm, cached.q_comp, cached.p_comp)
-        else:
-            result = cached
+            self._pair_cache[(q, p)] = (
+                Lcm(result.lcm, result.q_comp, result.p_comp)
+                if isinstance(result, Lcm) else result)
         if isinstance(result, BallTooSmall):
             # A fresh traceback each time: the cached one would hold the
             # search's frames and grow with every re-raise.
@@ -308,10 +307,11 @@ def check_cancellativity_and_lcm(S, ball, lcm_complements=None):
     """Exhaustive in-ball audit of the descriptor's monoid laws.
 
     Checks the two-sided identity, associativity and left cancellativity
-    on every in-ball pair/triple, and (when the descriptor carries a
-    closed-form right_lcm) its agreement with the brute-force oracle up
-    to units on every in-ball pair whose brute search can be certified
-    (BallTooSmall pairs are reported as skipped, never as passes).
+    on every in-ball pair/triple, and the descriptor's right_lcm against
+    the brute-force oracle on every in-ball pair whose brute search can
+    be certified (BallTooSmall pairs are reported as skipped, never as
+    passes).  The two agree when both find no common multiple, both find
+    LCMs equal up to units, or both raise IncomparableMultiples.
     """
     report = Report()
     elems = ball.elements
@@ -340,22 +340,26 @@ def check_cancellativity_and_lcm(S, ball, lcm_complements=None):
     report.add("left-cancellativity", n * n, canc)
     report.add("associativity", n * n * n, assoc)
 
-    if S.right_lcm is not None:
-        brute = BruteForcer(S, ball, complements=lcm_complements)
-        mismatches = []
-        skipped = 0
-        for p, q in itertools.product(elems, repeat=2):
-            try:
-                oracle = brute.right_lcm(p, q)
-            except BallTooSmall:
-                skipped += 1
-                continue
+    brute = BruteForcer(S, ball, complements=lcm_complements)
+    mismatches = []
+    skipped = 0
+    for p, q in itertools.product(elems, repeat=2):
+        try:
+            oracle = brute.right_lcm(p, q)
+        except BallTooSmall:
+            skipped += 1
+            continue
+        except IncomparableMultiples:
+            oracle = IncomparableMultiples
+        try:
             closed = S.right_lcm(p, q)
-            if oracle is DISJOINT or closed is DISJOINT:
-                if oracle is not closed:
-                    mismatches.append(f"({disp(p)},{disp(q)})")
-            elif not lcm_equal_up_to_units(S, closed.lcm, oracle.lcm):
-                mismatches.append(f"({disp(p)},{disp(q)})")
-        report.add("lcm-vs-brute", n * n - skipped, mismatches,
-                   escaped=skipped)
+        except IncomparableMultiples:
+            closed = IncomparableMultiples
+        if isinstance(oracle, Lcm) and isinstance(closed, Lcm):
+            same = lcm_equal_up_to_units(S, closed.lcm, oracle.lcm)
+        else:
+            same = oracle is closed
+        if not same:
+            mismatches.append(f"({disp(p)},{disp(q)})")
+    report.add("lcm-vs-brute", n * n - skipped, mismatches, escaped=skipped)
     return report

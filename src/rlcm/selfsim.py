@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .core import DISJOINT, Lcm, Semigroup
+from .core import DISJOINT, IncomparableMultiples, Lcm, Semigroup
 from .report import Report
 from .zoo import frac_right_lcm
 
@@ -305,28 +305,38 @@ def ftheta_unembed(T, pair):
 
 
 def ftheta_right_lcm(T, z1, z2):
-    """Closed-form right LCM for coprime alphabet sizes, computed in the
-    embedded arithmetic-progression picture and pulled back."""
-    if math.gcd(T.m, T.n) != 1:
-        raise ValueError("closed-form LCM needs gcd(m, n) == 1")
-    got = frac_right_lcm(ftheta_embed(T, z1), ftheta_embed(T, z2))
-    if got is DISJOINT:
+    """Right LCM of z1 and z2, or IncomparableMultiples carrying the
+    first two minimal common multiples in display order.  Coprime sizes
+    use the closed form in the embedded progression picture; otherwise
+    the minimal common multiples, which all have the joined bidegree,
+    are the z1·t there that z2 left-divides."""
+    if math.gcd(T.m, T.n) == 1:
+        got = frac_right_lcm(ftheta_embed(T, z1), ftheta_embed(T, z2))
+        if got is DISJOINT:
+            return DISJOINT
+        return Lcm(ftheta_unembed(T, got.lcm),
+                   ftheta_unembed(T, got.p_comp),
+                   ftheta_unembed(T, got.q_comp))
+    (p1, q1), (p2, q2) = _bidegree(z1), _bidegree(z2)
+    found = []
+    for xs in itertools.product(range(T.m), repeat=max(p1, p2) - p1):
+        for ys in itertools.product(range(T.n), repeat=max(q1, q2) - q1):
+            w = ftheta_multiply(T, z1, (xs, ys))
+            v = ftheta_left_divide(T, z2, w)
+            if v is not None:
+                found.append(Lcm(w, (xs, ys), v))
+    if not found:
         return DISJOINT
-    return Lcm(ftheta_unembed(T, got.lcm),
-               ftheta_unembed(T, got.p_comp),
-               ftheta_unembed(T, got.q_comp))
+    if len(found) == 1:
+        return found[0]
+    found.sort(key=lambda c: ftheta_display(c.lcm))
+    raise IncomparableMultiples(z1, z2, [c.lcm for c in found[:2]])
 
 
 def ftheta_semigroup(T):
-    """The two-alphabet monoid as a descriptor over normal-form pairs.
-
-    The closed-form right LCM is attached only when the alphabet sizes
-    are coprime; otherwise the monoid genuinely fails the right-LCM
-    property (see ftheta_right_lcm_survey) and the field stays None.
-    """
+    """The two-alphabet monoid as a descriptor over normal-form pairs."""
     gens = tuple(((i,), ()) for i in range(T.m))
     gens += tuple(((), (j,)) for j in range(T.n))
-    coprime = math.gcd(T.m, T.n) == 1
     return Semigroup(
         name=f"ftheta:{T.m},{T.n}",
         identity=((), ()),
@@ -335,7 +345,7 @@ def ftheta_semigroup(T):
         display=ftheta_display,
         is_unit=lambda z: z == ((), ()),
         left_divide=lambda p, r: ftheta_left_divide(T, p, r),
-        right_lcm=(lambda p, q: ftheta_right_lcm(T, p, q)) if coprime else None,
+        right_lcm=lambda p, q: ftheta_right_lcm(T, p, q),
         parse=lambda t: ftheta_parse(T, t),
     )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import DISJOINT, Lcm, Semigroup
+from .core import DISJOINT, IncomparableMultiples, Lcm, Semigroup
 from .report import Report
 
 
@@ -72,13 +72,24 @@ def zs_right_lcm(D, p, q):
     the actions of a and b; the two restrictions picked up on the way
     must be comparable by left divisibility in A, and the larger one
     completes the LCM (w, larger).  Incomparable restrictions mean the
-    product is not a right-LCM semigroup for this pair.
+    product is not a right-LCM semigroup for this pair.  Two minimal
+    common multiples in U with no LCM lift the same way.
     """
     (u, a), (v, b) = p, q
-    got = D.U.right_lcm(u, v)
+    try:
+        got = D.U.right_lcm(u, v)
+    except IncomparableMultiples as e:
+        lifted = [_lift(D, a, b, w, D.U.left_divide(u, w),
+                        D.U.left_divide(v, w)).lcm for w in e.witnesses]
+        raise IncomparableMultiples(p, q, lifted) from e
     if got is DISJOINT:
         return DISJOINT
-    w, u2, v2 = got.lcm, got.p_comp, got.q_comp
+    return _lift(D, a, b, got.lcm, got.p_comp, got.q_comp)
+
+
+def _lift(D, a, b, w, u2, v2):
+    """(w, larger restriction) with its complements, for a common
+    multiple w = u u2 = v v2 in U; see zs_right_lcm."""
     x = D.action_inverse(a, u2)
     y = D.action_inverse(b, v2)
     r = D.restriction(a, x)
@@ -120,8 +131,7 @@ def zs_semigroup(D):
         display=lambda p: f"({U.display(p[0])} ; {A.display(p[1])})",
         is_unit=lambda p: U.is_unit(p[0]) and A.is_unit(p[1]),
         left_divide=lambda p, r: zs_left_divide(D, p, r),
-        right_lcm=(None if U.right_lcm is None
-                   else lambda p, q: zs_right_lcm(D, p, q)),
+        right_lcm=lambda p, q: zs_right_lcm(D, p, q),
         parse=parse if U.parse and A.parse else None,
     )
 

@@ -113,8 +113,8 @@ def test_lcm_counterexample_prints_both_minimal_multiples():
 
 
 def test_normalize_counterexample_prints_both_minimal_multiples():
-    code, out = _run(["normalize", "--semigroup", "ftheta:2,2", "--radius",
-                      "1", "v(x0.)* v(.y0)"])
+    code, out = _run(["normalize", "--semigroup", "ftheta:2,2",
+                      "v(x0.)* v(.y0)"])
     assert (code, out) == (1, "incomparable x0.y0 x0.y1\n")
 
 
@@ -125,26 +125,25 @@ def test_bounded_foundation_counts_incomparable_multiples_as_hits():
         1, "RESULT FAIL foundation checked=1 failed=1 NotFoundation(x1.)\n")
 
 
-def test_too_small_radius_is_an_error_not_a_traceback(capsys):
-    code = run(["lcm", "--semigroup", "ftheta:2,2", "--radius", "1",
-                "x0.y0y0", "x0x0.y0"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err.startswith("error: ftheta:2,2: ")
-    assert captured.err.endswith(" (use a larger --radius)\n")
+def test_lcm_answers_do_not_depend_on_the_radius():
+    # Minimal common multiples at length 5, beyond a radius-4 ball.
+    for radius in ("1", "4"):
+        argv = ["lcm", "--semigroup", "ftheta:2,2", "--radius", radius]
+        assert _run([*argv, "x0.y0y1y0", "x0x0.y1"]) == (
+            1, "incomparable x0x0.y1y0y0 x0x0.y1y0y1\n")
+        assert _run([*argv, "x0.y0y0", "x0x0.y0"]) == (
+            1, "incomparable x0x0.y0y0 x0x0.y0y1\n")
+        assert _run([*argv, "x0.", "x0x1.y0y1y0"]) == (
+            0, "x0x1.y0y1y0 ; comp x1.y0y1y0 .\n")
 
 
-def test_ball_fallback_says_disjoint_only_with_a_certificate():
-    # Both operands have common multiples at bidegree (2, 3), beyond the
-    # radius-4 ball; an empty search there proves nothing.
-    argv = ["lcm", "--semigroup", "ftheta:2,2", "x0.y0y1y0", "x0x0.y1"]
-    assert _run([*argv[:3], "--radius", "1", *argv[3:]]) == (2, "")
-    assert _run([*argv[:3], "--radius", "4", *argv[3:]]) == (
-        1, "incomparable x0x0.y1y0y0 x0x0.y1y0y1\n")
-    # Operands whose lengths sum to at most the radius: a true DISJOINT.
-    code, out = _run(["lcm", "--semigroup", "ftheta:2,2", "--radius", "1",
-                      "x0.", "x1."])
-    assert (code, out) == (0, "disjoint\n")
+def test_noncoprime_lcm_says_disjoint_only_without_common_multiples():
+    argv = ["lcm", "--semigroup", "ftheta:2,2"]
+    assert _run([*argv, "x0.", "x1."]) == (0, "disjoint\n")
+    assert _run([*argv, "x0x1.y0y1y0", "x0.y0"]) == (0, "disjoint\n")
+    # The product lifts both minimal multiples of the U-parts.
+    assert _run(["lcm", "--semigroup", "zs:ftheta:2,2", "(x0. ; 0)",
+                 "(.y0 ; 0)"]) == (1, "incomparable (x0.y0 ; 0) (x0.y1 ; 0)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -184,8 +183,8 @@ def test_normalize_builds_a_product_descriptor_once(monkeypatch):
 
 
 def test_cli_start_up_does_not_load_numpy():
-    # The CLI's own oracle is ball mode; only complement mode and the
-    # operator tables of check-relations need numpy.
+    # The CLI's right LCMs are exact; only the complement-mode oracle and
+    # the operator tables of check-relations need numpy.
     script = (
         "import sys, io, contextlib\n"
         "import rlcm.cli\n"

@@ -1,6 +1,7 @@
 """Ball enumeration, the brute-force right-LCM oracle and the monoid
 law audit."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -198,6 +199,29 @@ def test_interned_ids_belong_to_one_oracle():
         assert len(brute._elems) == len(products), sel
 
 
+def test_pair_cache_answers_repeats_and_reversals_without_searching():
+    oracle = _complement_oracle("zs:bs:2,3")
+    S = oracle.S
+    p, q = next((p, q) for p, q in itertools.product(oracle.ball, repeat=2)
+                if S.left_divide(p, q) is None
+                and S.left_divide(q, p) is None
+                and isinstance(oracle.right_lcm(p, q), Lcm))
+    oracle._pair_cache.clear()
+    searches = []
+    search = oracle._search_complements
+
+    def counted(p, q):
+        searches.append((p, q))
+        return search(p, q)
+
+    oracle._search_complements = counted
+    first = oracle.right_lcm(p, q)
+    assert [oracle.right_lcm(p, q) for _ in range(2)] == [first, first]
+    assert oracle.right_lcm(q, p) == Lcm(first.lcm, first.q_comp,
+                                         first.p_comp)
+    assert searches == [(p, q)]
+
+
 def test_lcm_record_complements_multiply_back():
     S = get_semigroup("frac")
     got = S.right_lcm((1, 2), (2, 3))
@@ -222,8 +246,30 @@ def test_law_audit_passes_on_free_and_frac():
         assert report.ok, str(report)
 
 
+def test_law_audit_compares_incomparable_outcomes():
+    # ftheta:2,2 has pairs with two minimal common multiples, where both
+    # the oracle and the exact search raise IncomparableMultiples.
+    S = get_semigroup("ftheta:2,2")
+    report = check_cancellativity_and_lcm(
+        S, enumerate_ball(S, 2), lcm_complements=enumerate_ball(S, 4))
+    assert report.ok, str(report)
+    (audit,) = [c for c in report.checks if c.suite == "lcm-vs-brute"]
+    assert audit.checked == len(enumerate_ball(S, 2)) ** 2
+    # A right LCM that ignores the counterexamples is caught.
+    def lenient(p, q):
+        try:
+            return S.right_lcm(p, q)
+        except IncomparableMultiples as e:
+            return Lcm(e.witnesses[0], S.left_divide(p, e.witnesses[0]),
+                       S.left_divide(q, e.witnesses[0]))
+
+    report = check_cancellativity_and_lcm(
+        dataclasses.replace(S, right_lcm=lenient), enumerate_ball(S, 2),
+        lcm_complements=enumerate_ball(S, 4))
+    assert not report.ok
+
+
 def test_law_audit_detects_broken_identity():
-    import dataclasses
     S = free_monoid(2)
     bad = dataclasses.replace(S, multiply=lambda p, q: p + q + ("" if q else "0"))
     report = check_cancellativity_and_lcm(bad, enumerate_ball(S, 2))

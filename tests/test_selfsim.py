@@ -1,13 +1,16 @@
 """Self-similar letter actions, commutation tables, two-alphabet normal
 forms and the right-LCM survey."""
 
+import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlcm.core import DISJOINT
+from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer,
+                       IncomparableMultiples, enumerate_ball)
 from rlcm.selfsim import (adding_machine, bs_odometer, ftheta_anti_normal,
                           ftheta_display, ftheta_embed, ftheta_factor,
                           ftheta_left_divide, ftheta_min_common_multiples,
@@ -143,24 +146,67 @@ def _all_words(T, max_bidegree):
                     yield (xs, ys)
 
 
-def test_closed_lcm_matches_minimal_common_multiples():
-    T = theta_build(2, 3)
-    words = list(_all_words(T, (2, 2)))
+@pytest.mark.parametrize("m, n, box", [
+    pytest.param(2, 3, (2, 2), id="2,3"),
+    pytest.param(2, 2, (2, 2), id="2,2"),
+    pytest.param(2, 4, (1, 2), id="2,4"),
+    pytest.param(4, 6, (1, 1), id="4,6"),
+    pytest.param(3, 6, (2, 1), id="3,6"),
+])
+def test_closed_lcm_matches_minimal_common_multiples(m, n, box):
+    T = theta_build(m, n)
+    words = list(_all_words(T, box))
+    incomparable = 0
     for z1 in words:
         for z2 in words:
-            got = ftheta_right_lcm(T, z1, z2)
             minimal = ftheta_min_common_multiples(T, z1, z2)
+            try:
+                got = ftheta_right_lcm(T, z1, z2)
+            except IncomparableMultiples as e:
+                incomparable += 1
+                assert (e.p, e.q) == (z1, z2)
+                assert e.witnesses == minimal[:2]
+                assert len(minimal) >= 2
+                continue
             if got is DISJOINT:
                 assert minimal == []
             else:
                 assert minimal == [got.lcm]
                 assert ftheta_multiply(T, z1, got.p_comp) == got.lcm
                 assert ftheta_multiply(T, z2, got.q_comp) == got.lcm
+    # Two minimal multiples occur exactly when the sizes share a factor.
+    assert (incomparable > 0) == (math.gcd(m, n) > 1)
 
 
-def test_closed_lcm_requires_coprime_alphabets():
-    S = ftheta_semigroup(theta_build(2, 4))
-    assert S.right_lcm is None
+@functools.cache
+def _ftheta_oracle(m, n):
+    """Operands of radius 2 and a complement-mode oracle whose radius-4
+    complements reach every join bidegree of two such operands."""
+    S = ftheta_semigroup(theta_build(m, n))
+    complements = enumerate_ball(S, 4)
+    oracle = BruteForcer(S, complements, complements=complements)
+    return enumerate_ball(S, 2).elements, oracle
+
+
+def _outcome(right_lcm, p, q):
+    try:
+        return right_lcm(p, q)
+    except IncomparableMultiples as e:
+        return ("incomparable", e.witnesses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_noncoprime_lcm_agrees_with_the_oracle(data):
+    m, n = data.draw(st.sampled_from([(2, 2), (2, 4), (4, 6), (3, 6)]))
+    operands, oracle = _ftheta_oracle(m, n)
+    z1 = data.draw(st.sampled_from(operands))
+    z2 = data.draw(st.sampled_from(operands))
+    try:
+        want = _outcome(oracle.right_lcm, z1, z2)
+    except BallTooSmall:
+        return
+    assert _outcome(oracle.S.right_lcm, z1, z2) == want
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 matching-axiom checker with its mutation battery."""
 
 import dataclasses
+import itertools
 
 import pytest
 
 from rlcm.catalog import EXAMPLE_ZS_NAMES, get_zs_descriptor
-from rlcm.core import DISJOINT, enumerate_ball
+from rlcm.core import DISJOINT, IncomparableMultiples, enumerate_ball
 from rlcm.report import FAIL
-from rlcm.selfsim import adding_machine, bs_odometer
+from rlcm.selfsim import (adding_machine, bs_odometer,
+                          ftheta_min_common_multiples, theta_build)
 from rlcm.zs import (HypothesisViolation, ZSDescriptor, zs_axiom_check,
                      zs_left_divide, zs_multiply, zs_right_lcm, zs_semigroup)
 from rlcm.zoo import free_monoid, nat_add
@@ -73,6 +75,29 @@ def test_right_lcm_incomparable_restrictions_raise():
     )
     with pytest.raises(HypothesisViolation):
         zs_right_lcm(D, ("0", "0"), ("01", "1"))
+
+
+def test_incomparable_multiples_in_u_lift_to_the_product():
+    D = get_zs_descriptor("ftheta:2,2")
+    P = zs_semigroup(D)
+    T = theta_build(2, 2)
+    raised = 0
+    for p, q in itertools.product(enumerate_ball(P, 2), repeat=2):
+        minimal = ftheta_min_common_multiples(T, p[0], q[0])
+        if len(minimal) < 2:
+            continue
+        with pytest.raises(IncomparableMultiples) as exc:
+            zs_right_lcm(D, p, q)
+        raised += 1
+        w1, w2 = exc.value.witnesses
+        assert (exc.value.p, exc.value.q) == (p, q)
+        for w in (w1, w2):
+            assert P.left_divide(p, w) is not None
+            assert P.left_divide(q, w) is not None
+        assert P.left_divide(w1, w2) is None
+        assert P.left_divide(w2, w1) is None
+        assert [w1[0], w2[0]] == minimal[:2]
+    assert raised > 0
 
 
 # ---------------------------------------------------------------------------
