@@ -7,8 +7,7 @@ progressions (r, x) = r + xN under substitution.
 """
 
 from rlcm.catalog import get_semigroup
-from rlcm.core import (DISJOINT, BruteForcer, brute_right_lcm,
-                       enumerate_ball)
+from rlcm.core import DISJOINT, BruteForcer, enumerate_ball
 
 free = get_semigroup("free:2")
 frac = get_semigroup("frac")
@@ -39,7 +38,7 @@ print("== the brute-force oracle ==")
 # The oracle knows nothing about progressions: it intersects sets of
 # multiples inside a finite ball and certifies the least one.
 search = enumerate_ball(frac, 4)
-got = brute_right_lcm(frac, (1, 2), (2, 3), search)
+got = BruteForcer(frac, search).right_lcm((1, 2), (2, 3))
 print("brute force finds", frac.display(got.lcm))
 
 # Searching by complements reaches the LCM of long elements without a

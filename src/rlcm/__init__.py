@@ -5,18 +5,18 @@ exact affine boundary models.
 """
 
 from .core import (DISJOINT, Ball, BallTooSmall, BruteForcer,
-                   IncomparableMultiples, Lcm, Semigroup, brute_right_lcm,
+                   IncomparableMultiples, Lcm, Semigroup,
                    check_cancellativity_and_lcm, enumerate_ball,
                    lcm_equal_up_to_units)
-from .report import FAIL, PASS, UNDECIDED, Check, Report
+from .report import FAIL, PASS, Check, Report
 from .zs import HypothesisViolation, ZSDescriptor, zs_axiom_check, \
     zs_left_divide, zs_multiply, zs_right_lcm, zs_semigroup
 
 __all__ = [
     "DISJOINT", "Ball", "BallTooSmall", "BruteForcer",
-    "IncomparableMultiples", "Lcm", "Semigroup", "brute_right_lcm",
+    "IncomparableMultiples", "Lcm", "Semigroup",
     "check_cancellativity_and_lcm", "enumerate_ball", "lcm_equal_up_to_units",
-    "FAIL", "PASS", "UNDECIDED", "Check", "Report",
+    "FAIL", "PASS", "Check", "Report",
     "HypothesisViolation", "ZSDescriptor", "zs_axiom_check",
     "zs_left_divide", "zs_multiply", "zs_right_lcm", "zs_semigroup",
 ]

@@ -226,8 +226,6 @@ def bs_semigroup(c, d):
     The generator list {a, b} matches the group presentation; the ball
     metric therefore counts a/b letters of a shortest spelling.
     """
-    if c < 1 or d < 1:
-        raise ValueError("c and d must be positive")
     return Semigroup(
         name=f"bs:{c},{d}",
         identity=((), 0),

@@ -4,7 +4,7 @@ Verbs: mul, lcm, normalize, check-axioms, check-relations, foundation,
 survey-ftheta, decompose.  Check-style verbs print one line per suite in
 the shared format
 
-    RESULT <PASS|FAIL|UNDECIDED> <suite> checked=N failed=M [witness ...]
+    RESULT <PASS|FAIL> <suite> checked=N failed=M [witness ...]
 
 and the exit code is 0 when nothing failed, 1 on FAIL or on a found
 counterexample to the right-LCM property, 2 on bad input.
@@ -61,12 +61,6 @@ def build_parser():
     verb("survey-ftheta", "right-LCM survey", "semigroup", "bidegree")
     verb("decompose", "factor through the product", "semigroup", args=1)
     return top
-
-
-def parse_element(S, text):
-    if S.parse is None:
-        raise zoo.ParseError(f"{S.name} has no element grammar")
-    return S.parse(text)
 
 
 TOKEN_RE = re.compile(r"^([vtse])\((.*)\)(\*)?$")
@@ -147,14 +141,14 @@ def _dispatch(ns):
         S = catalog.get_semigroup(sel)
         out = S.identity
         for text in ns.args:
-            out = S.multiply(out, parse_element(S, text))
+            out = S.multiply(out, S.parse(text))
         print(S.display(out))
         return 0
 
     if ns.verb == "lcm":
         sel = _need(ns, "semigroup")
         S = catalog.get_semigroup(sel)
-        p, q = (parse_element(S, t) for t in ns.args)
+        p, q = map(S.parse, ns.args)
         try:
             got = S.right_lcm(p, q)
         except IncomparableMultiples as e:
@@ -187,7 +181,7 @@ def _dispatch(ns):
 
     if ns.verb == "check-relations":
         if ns.model is not None:
-            suites = None if ns.suite in (None, "boundary", "all") \
+            suites = None if ns.suite is None \
                 else tuple(ns.suite.split(","))
             return _finish(boundary.verify_boundary_suite(ns.model, suites))
         sel = _need(ns, "semigroup")
@@ -204,19 +198,15 @@ def _dispatch(ns):
     if ns.verb == "foundation":
         sel = _need(ns, "semigroup")
         S = catalog.get_semigroup(sel)
-        F = [parse_element(S, t) for t in ns.args]
+        F = [S.parse(t) for t in ns.args]
         if ns.mode == "exact":
             verdict = is_foundation_set(S, F, "exact")
         else:
             verdict = is_foundation_set(S, F, "bounded",
                                         ball=enumerate_ball(S, ns.radius))
         report = Report()
-        report.add("foundation", len(F),
-                   [] if verdict.ok else [f"{verdict.status}"
-                                          f"({S.display(verdict.witness)})"
-                                          if verdict.witness is not None
-                                          else verdict.status],
-                   undecided=verdict.status == "UndecidedBeyondBall")
+        report.add("foundation", len(F), [] if verdict.ok else [
+            f"{verdict.status}({S.display(verdict.witness)})"])
         return _finish(report)
 
     if ns.verb == "survey-ftheta":
@@ -240,7 +230,7 @@ def _dispatch(ns):
 
     if ns.verb == "decompose":
         sel = _need(ns, "semigroup")
-        p = parse_element(catalog.get_semigroup(sel), ns.args[0])
+        p = catalog.get_semigroup(sel).parse(ns.args[0])
         D, split, _join = catalog.product_form(sel)
         u, a = split(p)
         # The shift k of N x| Nx shows as the affine map (k,1).

@@ -13,6 +13,7 @@ that depends on elements it cannot see (`BallTooSmall`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -75,7 +76,7 @@ class Semigroup:
     is_unit: Callable[[Any], bool]
     left_divide: Callable[[Any, Any], Optional[Any]]
     right_lcm: Callable[[Any, Any], Any]
-    parse: Optional[Callable[[str], Any]] = None
+    parse: Callable[[str], Any]
 
 
 class Ball:
@@ -84,9 +85,10 @@ class Ball:
     The metric is word length over the descriptor's declared generator
     list (the paper has no metric; this is an artifact choice, documented
     per semigroup).  `elements` preserves the deterministic enumeration
-    order.  A ball may also be built from an explicit element set with an
-    ad-hoc length function (see `ball_from_elements`), in which case the
-    caller takes responsibility for its completeness.
+    order, and `index` maps each element to its position there.  A ball
+    may also be built from an explicit element set with an ad-hoc length
+    function (see `ball_from_elements`), in which case the caller takes
+    responsibility for its completeness.
     """
 
     def __init__(self, radius, lengths):
@@ -105,6 +107,10 @@ class Ball:
 
     def length(self, x):
         return self.lengths[x]
+
+    @functools.cached_property
+    def index(self):
+        return {x: i for i, x in enumerate(self.elements)}
 
 
 def enumerate_ball(S, radius):
@@ -131,7 +137,7 @@ def ball_from_elements(elements, length):
 
     The ball is treated as exhaustive for the caller's purpose: its
     radius sits two above the longest length, which disables the
-    boundary check in `brute_right_lcm`.
+    boundary check of `BruteForcer`.
     """
     lengths = {x: length(x) for x in elements}
     return Ball(max(lengths.values(), default=0) + 2, lengths)
@@ -165,7 +171,8 @@ class BruteForcer:
         self._ids = {}      # interned product -> id
         self._elems = []    # id -> interned product
         if complements is not None:
-            # Imported here so that ball mode (the CLI's) never loads it.
+            # Imported here, not at the top: every CLI request imports
+            # this module, and none of them needs numpy.
             import numpy as np
             self._t_lengths = np.array([complements.length(t)
                                         for t in complements], dtype=np.intp)
@@ -215,13 +222,11 @@ class BruteForcer:
         if result is None:
             try:
                 result = self._search_complements(p, q)
-            except BallTooSmall as e:
+            except (BallTooSmall, IncomparableMultiples) as e:
                 result = e
             self._pair_cache[(p, q)] = result
-            self._pair_cache[(q, p)] = (
-                Lcm(result.lcm, result.q_comp, result.p_comp)
-                if isinstance(result, Lcm) else result)
-        if isinstance(result, BallTooSmall):
+            self._pair_cache[(q, p)] = _reversed(result)
+        if isinstance(result, Exception):
             # A fresh traceback each time: the cached one would hold the
             # search's frames and grow with every re-raise.
             raise result.with_traceback(None)
@@ -285,14 +290,13 @@ class BruteForcer:
         return self._certify(p, q, common, self.ball.length, self.ball.radius)
 
 
-def brute_right_lcm(S, p, q, ball):
-    """One-shot brute-force right LCM of p and q inside `ball`.
-
-    The caller must pick a ball large enough that the true LCM (if any)
-    lies strictly inside it; a ball radius of at least twice the
-    generator length of p and q is the usual safe choice.
-    """
-    return BruteForcer(S, ball).right_lcm(p, q)
+def _reversed(result):
+    """The outcome of a search for (p, q), restated for (q, p)."""
+    if isinstance(result, Lcm):
+        return Lcm(result.lcm, result.q_comp, result.p_comp)
+    if isinstance(result, IncomparableMultiples):
+        return IncomparableMultiples(result.q, result.p, result.witnesses)
+    return result
 
 
 def lcm_equal_up_to_units(S, r, s):

@@ -2,16 +2,18 @@
 ball of the monoid as the partial injection q -> pq, with the adjoint
 acting by left division.
 
-Operators are integer code arrays over the indexed basis.  A code >= 0 is
-the basis index of the image; KILLED_CODE marks a vector genuinely outside
-the domain (decided inside the ball), and ESCAPED_CODE one whose true
-image exists but lies outside the ball.  Escaped is sticky through
-composition, and escaped vectors are never counted as evidence for or
-against a relation.  Whole-basis composition and comparison are single
-vectorized steps.
+Operators are integer code arrays over a ball taken as the basis.  A
+code >= 0 is the position (`Ball.index`) of the image; KILLED_CODE marks
+a vector genuinely outside the domain (decided inside the ball), and
+ESCAPED_CODE one whose true image exists but lies outside the ball.
+Escaped is sticky through composition, and escaped vectors are never
+counted as evidence for or against a relation.  Whole-basis composition
+and comparison are single vectorized steps.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,26 +25,7 @@ KILLED_CODE = -1
 ESCAPED_CODE = -2
 
 
-class Basis:
-    """An indexed ball: elements in deterministic order plus the reverse
-    lookup used to translate between elements and array slots."""
-
-    def __init__(self, ball):
-        self.ball = ball
-        self.elements = list(ball.elements)
-        self.index = {x: i for i, x in enumerate(self.elements)}
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, x):
-        return x in self.index
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-class PartialInjectionTable:
+class PartialInjectionTable(NamedTuple):
     """Partial injection on a basis, with its exact inverse.
 
     `fwd[i]` is the code of the image of basis element i; `bwd` is the
@@ -50,16 +33,13 @@ class PartialInjectionTable:
     so the adjoint is a constant-time view.
     """
 
-    def __init__(self, basis, fwd, bwd):
-        self.basis = basis
-        self.fwd = fwd
-        self.bwd = bwd
+    fwd: np.ndarray
+    bwd: np.ndarray
 
 
 def rep_generator(S, p, basis):
-    """The table of q -> pq, with escapes computed on both sides."""
-    if not isinstance(basis, Basis):
-        basis = Basis(basis)
+    """The table of q -> pq on the ball `basis`, with escapes computed on
+    both sides."""
     n = len(basis)
     fwd = np.full(n, KILLED_CODE, dtype=np.int64)
     bwd = np.full(n, KILLED_CODE, dtype=np.int64)
@@ -77,7 +57,7 @@ def rep_generator(S, p, basis):
             if s is not None:
                 # r has a genuine preimage, but it lies outside the ball.
                 bwd[j] = ESCAPED_CODE
-    return PartialInjectionTable(basis, fwd, bwd)
+    return PartialInjectionTable(fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +99,11 @@ def op_compare(basis, F, G):
 # Relation suites over a product descriptor.
 
 class RepContext:
-    """Cached tables, adjoints and range projections over one basis."""
+    """Cached tables, adjoints and range projections over one ball."""
 
     def __init__(self, S, basis):
         self.S = S
-        self.basis = basis if isinstance(basis, Basis) else Basis(basis)
+        self.basis = basis
         self._tables = {}
         self._projs = {}
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 PASS = "PASS"
 FAIL = "FAIL"
-UNDECIDED = "UNDECIDED"
 
 MAX_WITNESSES = 10
 
@@ -40,12 +39,9 @@ class Check:
 class Report:
     checks: list = field(default_factory=list)
 
-    def add(self, suite, checked, witnesses, escaped=0, undecided=False):
+    def add(self, suite, checked, witnesses, escaped=0):
         witnesses = list(witnesses)
-        if undecided:
-            status = UNDECIDED
-        else:
-            status = FAIL if witnesses else PASS
+        status = FAIL if witnesses else PASS
         self.checks.append(
             Check(suite, status, checked, len(witnesses), escaped, witnesses)
         )
@@ -58,10 +54,6 @@ class Report:
         """PASS on every check; a report with no checks is not a PASS."""
         return bool(self.checks) and all(c.status == PASS
                                          for c in self.checks)
-
-    @property
-    def failures(self):
-        return [c for c in self.checks if c.status == FAIL]
 
     def lines(self):
         return [c.line() for c in sorted(self.checks, key=lambda c: c.suite)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -62,6 +63,8 @@ def bs_odometer(c, d):
     """The odometer with carries scaled by c: the letterwise action of
     the cyclic part of BS(c,d)+ on its d-letter free factor, where
     passing a carry costs c instead of 1."""
+    if c < 1 or d < 1:
+        raise ValueError("c and d must be positive")
     return SSADescriptor(
         name=f"bsodo:{c},{d}",
         n_letters=d,
@@ -254,13 +257,14 @@ def _parse_letters(part, kind, bound):
     out = []
     rest = part
     while rest:
-        if rest[0] != kind or len(rest) < 2 or not rest[1].isdigit():
+        m = re.match(kind + "(0|[1-9][0-9]*)", rest)
+        if m is None:
             raise ValueError(f"bad {kind}-letter near {rest!r}")
-        idx = int(rest[1])
+        idx = int(m.group(1))
         if idx >= bound:
             raise ValueError(f"letter {kind}{idx} out of range (< {bound})")
         out.append(idx)
-        rest = rest[2:]
+        rest = rest[m.end():]
     return tuple(out)
 
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .core import (DISJOINT, BallTooSmall, IncomparableMultiples,
-                   enumerate_ball)
+from .core import DISJOINT, IncomparableMultiples, enumerate_ball
 from .zs import zs_semigroup
 
 
@@ -112,7 +111,6 @@ def word_normalize(S, tokens):
 
 FOUNDATION = "Foundation"
 NOT_FOUNDATION = "NotFoundation"
-UNDECIDED_BEYOND_BALL = "UndecidedBeyondBall"
 
 
 @dataclass(frozen=True)
@@ -132,12 +130,11 @@ def is_foundation_set(S, F, mode, ball=None):
     F is a foundation set iff every length-N word has some member of F
     as a prefix or extension; this is a complete decision.
 
-    mode "bounded": checks the defining condition for every p in `ball`;
-    a clean sweep yields Foundation as a ball certificate, a failing p
-    with all comparisons decided yields NotFoundation(p), and any
-    undecidable comparison on an otherwise failing p yields
-    UndecidedBeyondBall.  A pair with incomparable common multiples has
-    common multiples, so it counts as a hit.
+    mode "bounded": checks the defining condition for every p in `ball`
+    with the exact right LCM; a clean sweep yields Foundation as a ball
+    certificate and the first failing p yields NotFoundation(p).  A pair
+    with incomparable common multiples has common multiples, so it
+    counts as a hit.
     """
     F = list(F)
     if not F:
@@ -159,19 +156,13 @@ def is_foundation_set(S, F, mode, ball=None):
         if ball is None:
             raise ValueError("bounded mode needs a ball")
         for p in ball:
-            hit = undecided = False
             for q in F:
                 try:
-                    hit = S.right_lcm(p, q) is not DISJOINT
+                    if S.right_lcm(p, q) is not DISJOINT:
+                        break
                 except IncomparableMultiples:
-                    hit = True  # common multiples exist, just no least one
-                except BallTooSmall:
-                    undecided = True
-                if hit:
-                    break
-            if not hit:
-                if undecided:
-                    return FoundationVerdict(UNDECIDED_BEYOND_BALL, witness=p)
+                    break  # common multiples exist, just no least one
+            else:
                 return FoundationVerdict(NOT_FOUNDATION, witness=p)
         return FoundationVerdict(FOUNDATION)
     raise ValueError(f"unknown mode {mode!r}")

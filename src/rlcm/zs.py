@@ -132,7 +132,7 @@ def zs_semigroup(D):
         is_unit=lambda p: U.is_unit(p[0]) and A.is_unit(p[1]),
         left_divide=lambda p, r: zs_left_divide(D, p, r),
         right_lcm=lambda p, q: zs_right_lcm(D, p, q),
-        parse=parse if U.parse and A.parse else None,
+        parse=parse,
     )
 
 

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 
 from rlcm.catalog import (EXAMPLE_ZS_NAMES, REGISTERED_SELECTORS,
                           get_semigroup, get_zs_descriptor)
-from rlcm.cli import parse_element, run
+from rlcm.cli import run
 from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer, ball_from_elements,
                        enumerate_ball, lcm_equal_up_to_units)
 from rlcm.regrep import RepContext, oracle_check_monomial, verify_relations
@@ -338,7 +338,7 @@ def test_round_trip_and_determinism():
         S = get_semigroup(selector)
         for x in enumerate_ball(S, 3):
             elements += 1
-            ok &= parse_element(S, S.display(x)) == x
+            ok &= S.parse(S.display(x)) == x
 
     def capture(argv):
         buf = io.StringIO()

@@ -12,7 +12,7 @@ import pytest
 
 from rlcm import catalog
 from rlcm.catalog import REGISTERED_SELECTORS, get_semigroup
-from rlcm.cli import parse_element, run
+from rlcm.cli import run
 from rlcm.core import enumerate_ball
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -100,6 +100,11 @@ def test_bad_input_exits_2():
     assert code == 2
     code, _ = _run(["check-relations", "--model", "nope"])
     assert code == 2
+    # BS(c,d) needs c, d >= 1 in its product form too.
+    for selector in ("zs:bs:-1,2", "zs:bs:0,2"):
+        code, _ = _run(["mul", "--semigroup", selector,
+                        "(1;0)", "(ε;1)", "(1;0)"])
+        assert code == 2, selector
 
 
 def test_unknown_model_suite_exits_2():
@@ -208,10 +213,11 @@ def test_verbs_reject_flags_they_do_not_read():
 
 
 def test_parse_display_round_trip_on_small_balls():
-    for selector in REGISTERED_SELECTORS:
+    # Two-digit letters (x10, y10) must parse back whole.
+    for selector in REGISTERED_SELECTORS + ("ftheta:12,2", "ftheta:2,11"):
         S = get_semigroup(selector)
         for x in enumerate_ball(S, 2):
-            assert parse_element(S, S.display(x)) == x, selector
+            assert S.parse(S.display(x)) == x, selector
 
 
 def test_reports_are_deterministic():

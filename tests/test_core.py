@@ -2,7 +2,10 @@
 law audit."""
 
 import dataclasses
+import importlib
 import itertools
+import pkgutil
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup
 from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer,
-                       IncomparableMultiples, Lcm, brute_right_lcm,
+                       IncomparableMultiples, Lcm,
                        check_cancellativity_and_lcm, enumerate_ball,
                        lcm_equal_up_to_units)
 from rlcm.report import Report
@@ -66,7 +69,19 @@ def test_brute_lcm_refuses_to_certify_at_ball_boundary():
     S = nat_add()
     ball = enumerate_ball(S, 3)
     with pytest.raises(BallTooSmall):
-        brute_right_lcm(S, 2, 3, ball)  # lcm is 3, on the boundary
+        BruteForcer(S, ball).right_lcm(2, 3)  # lcm is 3, on the boundary
+
+
+def test_only_the_oracle_binds_ball_too_small():
+    """Every right LCM is exact, so only the oracle can be undecided."""
+    import rlcm
+    for info in pkgutil.iter_modules(rlcm.__path__):
+        importlib.import_module(f"rlcm.{info.name}")
+    binders = sorted(name for name, module in sys.modules.items()
+                     if name.split(".")[0] == "rlcm"
+                     and any(value is BallTooSmall
+                             for value in vars(module).values()))
+    assert binders == ["rlcm", "rlcm.core"]
 
 
 def test_complement_search_agrees_with_ball_search():
@@ -200,26 +215,35 @@ def test_interned_ids_belong_to_one_oracle():
 
 
 def test_pair_cache_answers_repeats_and_reversals_without_searching():
-    oracle = _complement_oracle("zs:bs:2,3")
-    S = oracle.S
-    p, q = next((p, q) for p, q in itertools.product(oracle.ball, repeat=2)
+    bs = _complement_oracle("zs:bs:2,3")
+    S = bs.S
+    p, q = next((p, q) for p, q in itertools.product(bs.ball, repeat=2)
                 if S.left_divide(p, q) is None
                 and S.left_divide(q, p) is None
-                and isinstance(oracle.right_lcm(p, q), Lcm))
-    oracle._pair_cache.clear()
-    searches = []
-    search = oracle._search_complements
+                and isinstance(bs.right_lcm(p, q), Lcm))
+    bs._pair_cache.clear()
+    # x0 and y0 have two minimal common multiples in ftheta:2,2.
+    ftheta = _complement_oracle("ftheta:2,2")
+    x0, y0 = ftheta.S.parse("x0."), ftheta.S.parse(".y0")
+    for oracle, p, q in ((bs, p, q), (ftheta, x0, y0)):
+        searches = []
+        search = oracle._search_complements
 
-    def counted(p, q):
-        searches.append((p, q))
-        return search(p, q)
+        def counted(p, q):
+            searches.append((p, q))
+            return search(p, q)
 
-    oracle._search_complements = counted
-    first = oracle.right_lcm(p, q)
-    assert [oracle.right_lcm(p, q) for _ in range(2)] == [first, first]
-    assert oracle.right_lcm(q, p) == Lcm(first.lcm, first.q_comp,
-                                         first.p_comp)
-    assert searches == [(p, q)]
+        oracle._search_complements = counted
+        first = _outcome(oracle.right_lcm, p, q)
+        assert [_outcome(oracle.right_lcm, p, q)
+                for _ in range(2)] == [first, first]
+        if oracle is bs:
+            reverse = Lcm(first.lcm, first.q_comp, first.p_comp)
+        else:
+            assert first[0] == "IncomparableMultiples"
+            reverse = (first[0], q, p, first[3])
+        assert _outcome(oracle.right_lcm, q, p) == reverse
+        assert searches == [(p, q)]
 
 
 def test_lcm_record_complements_multiply_back():

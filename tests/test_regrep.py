@@ -7,7 +7,7 @@ import numpy as np
 
 from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup, get_zs_descriptor
 from rlcm.core import enumerate_ball
-from rlcm.regrep import (Basis, ESCAPED_CODE, KILLED_CODE, RepContext,
+from rlcm.regrep import (ESCAPED_CODE, KILLED_CODE, RepContext,
                          monomial_op, op_compare, op_compose, op_identity,
                          op_word, op_zero, oracle_check_monomial,
                          rep_generator, verify_relations)
@@ -21,7 +21,7 @@ def _ctx(S, radius):
 
 def test_generator_table_multiplies_on_the_left():
     S = free_monoid(2)
-    basis = Basis(enumerate_ball(S, 2))
+    basis = enumerate_ball(S, 2)
     idx = basis.index
     T = rep_generator(S, "0", basis)
     assert T.fwd[idx["1"]] == idx["01"]
@@ -32,7 +32,7 @@ def test_generator_table_multiplies_on_the_left():
 
 def test_adjoint_table_divides_on_the_left():
     S = free_monoid(2)
-    basis = Basis(enumerate_ball(S, 2))
+    basis = enumerate_ball(S, 2)
     idx = basis.index
     T = rep_generator(S, "0", basis)
     assert T.bwd[idx["01"]] == idx["1"]
@@ -42,7 +42,7 @@ def test_adjoint_table_divides_on_the_left():
 
 def test_escape_is_sticky_through_composition():
     S = free_monoid(2)
-    basis = Basis(enumerate_ball(S, 2))
+    basis = enumerate_ball(S, 2)
     T0 = rep_generator(S, "0", basis)
     # "1" -> "01" -> escapes under a second left multiplication
     assert op_compose(T0.fwd, T0.fwd)[basis.index["1"]] == ESCAPED_CODE
