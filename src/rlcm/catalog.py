@@ -16,39 +16,39 @@ import functools
 from . import zoo
 from .core import DISJOINT, Lcm, Semigroup
 from .selfsim import (adding_machine, bs_odometer, ftheta_semigroup,
-                      ssa_act_inverse_word, ssa_act_word, theta_build)
+                      odometer_walk, ssa_act_word, theta_build)
 from .zs import ZSDescriptor, zs_right_lcm, zs_semigroup
 
 
-def ssa_zs_descriptor(D, A, name):
-    """Free monoid ⋈ A from a letterwise self-similar action.
+def ssa_zs_descriptor(D, name):
+    """X* ⋈ N from an odometer D on the digit letters X.
 
-    The action and the restriction read one walk of the word, cached per
-    descriptor together with the inverse walk, so each distinct (a, u)
-    is walked once for the descriptor's lifetime.
+    One walk of each (a, u), cached per descriptor, gives the action and
+    the restriction, and the walk at -a gives the inverse action (the
+    odometer lets every integer act, though A is N); each distinct walk
+    runs once for the descriptor's lifetime.
     """
     act_res = functools.cache(lambda a, u: ssa_act_word(D, a, u))
-    act_inv = functools.cache(lambda a, u: ssa_act_inverse_word(D, a, u))
     return ZSDescriptor(
         name=name,
-        U=zoo.free_monoid(D.n_letters),
-        A=A,
+        U=zoo.free_monoid(D.d),
+        A=zoo.nat_add(),
         action=lambda a, u: act_res(a, u)[0],
         restriction=lambda a, u: act_res(a, u)[1],
-        action_inverse=act_inv,
+        action_inverse=lambda a, u: act_res(-a, u)[0],
     )
 
 
 def add_zs(n):
-    """X* ⋈ N for the base-n adding machine (letter digits, carry 1)."""
-    return ssa_zs_descriptor(adding_machine(n), zoo.nat_add(), f"add:{n}")
+    """X* ⋈ N for the base-n adding machine: the matching of bs:1,n."""
+    return ssa_zs_descriptor(adding_machine(n), f"add:{n}")
 
 
 def bs_zs(c, d):
     """The product form of BS(c,d)+: the free monoid on the d letters
     b^k a (written as digits k) matched with the powers of b, where a
     carry past the top letter costs b^c."""
-    return ssa_zs_descriptor(bs_odometer(c, d), zoo.nat_add(), f"bs:{c},{d}")
+    return ssa_zs_descriptor(bs_odometer(c, d), f"bs:{c},{d}")
 
 
 def nxn_zs():
@@ -64,17 +64,13 @@ def nxn_zs():
         r, x = u
         return (m + r) // x
 
-    def action_inverse(m, u):
-        r, x = u
-        return ((r - m) % x, x)
-
     return ZSDescriptor(
         name="nxn",
         U=zoo.frac_semigroup(),
         A=zoo.nat_add(),
         action=action,
         restriction=restriction,
-        action_inverse=action_inverse,
+        action_inverse=lambda m, u: action(-m, u),
     )
 
 
@@ -91,17 +87,14 @@ def zxz_zs():
         t = m + j * r
         return ((t - t % x) // x, j)
 
-    def action_inverse(a, u):
-        (m, j), (r, x) = a, u
-        return ((j * (r - m)) % x, x)
-
     return ZSDescriptor(
         name="zxz",
         U=zoo.frac_semigroup(),
         A=zoo.zsign_group(),
         action=action,
         restriction=restriction,
-        action_inverse=action_inverse,
+        # (m, j)^-1 is (-j·m, j)
+        action_inverse=lambda a, u: action((-a[1] * a[0], a[1]), u),
     )
 
 
@@ -116,15 +109,9 @@ def ftheta_zs(m, n):
 
     @functools.cache
     def action_res(k, z):
-        xs, ys = z
-        xs2, ys2 = [], []
-        for i in xs:
-            xs2.append(DX.act(k, i))
-            k = DX.res(k, i)
-        for j in ys:
-            ys2.append(DY.act(k, j))
-            k = DY.res(k, j)
-        return (tuple(xs2), tuple(ys2)), k
+        xs, k = odometer_walk(DX, k, z[0])
+        ys, k = odometer_walk(DY, k, z[1])
+        return (xs, ys), k
 
     return ZSDescriptor(
         name=f"ftheta:{m},{n}",

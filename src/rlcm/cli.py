@@ -117,7 +117,7 @@ def run(argv=None):
     ns = build_parser().parse_args(argv)
     try:
         return _dispatch(ns)
-    except (zoo.ParseError, boundary.UnknownModel, KeyError, ValueError) as e:
+    except (KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

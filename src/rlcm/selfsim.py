@@ -1,11 +1,10 @@
 """Self-similar actions on words and two-alphabet monoids with a
 commutation bijection.
 
-A self-similar action descriptor gives, for each group element g and
-letter x, a new letter g·x and a restricted element g|_x; the action
-extends to words letter by letter, the restriction trailing along:
-g·(xw) = (g·x)(g|_x·w).  The flagship instance is the odometer (adding
-machine), where g = k adds k to the first digit with carry.
+The integers act on digit words by odometers: k adds k to the first
+digit with carry, giving for each letter x a new letter k·x and a
+restricted integer k|_x; the action extends to words letter by letter,
+the restriction trailing along: k·(xw) = (k·x)(k|_x·w).
 
 The second half of the module handles monoids on two alphabets X, Y with
 relations y_j x_i = x_{i'} y_{j'} prescribed by a bijection θ, whose
@@ -18,7 +17,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from .core import DISJOINT, IncomparableMultiples, Lcm, Semigroup
 from .report import Report
@@ -26,78 +25,49 @@ from .zoo import frac_right_lcm
 
 
 @dataclass(frozen=True)
-class SSADescriptor:
-    """Letterwise data of one self-similar action.
+class Odometer:
+    """The base-d odometer whose carries cost c: k acts on a digit x by
+    (x + k) mod d and restricts to c·((x + k) div d).  By Euclidean
+    division every integer acts, and -k walks k's image back letter by
+    letter: (-k)·(k·x) == x and res(-k, k·x) == -res(k, x)."""
 
-    `act(g, x)` and `res(g, x)` take a group element and a letter index
-    in [0, n_letters); `inverse` inverts a group element when the acting
-    monoid is a group (None otherwise).
-    """
+    c: int
+    d: int
 
-    name: str
-    n_letters: int
-    identity: Any
-    act: Callable[[Any, int], int]
-    res: Callable[[Any, int], Any]
-    inverse: Optional[Callable[[Any], Any]] = None
+    def act(self, k, x):
+        return (x + k) % self.d
+
+    def res(self, k, x):
+        return self.c * ((x + k) // self.d)
 
 
 def adding_machine(n):
-    """Base-n odometer: k adds k to a digit, carrying (x+k) // n onward.
-
-    Group elements are plain integers (k stands for the k-th power of
-    the single generator); negative k works through Euclidean division,
-    giving the inverse action.
-    """
-    return SSADescriptor(
-        name=f"add:{n}",
-        n_letters=n,
-        identity=0,
-        act=lambda k, x: (x + k) % n,
-        res=lambda k, x: (x + k) // n,
-        inverse=lambda k: -k,
-    )
+    """The base-n adding machine: k adds k to a digit, carrying 1."""
+    return bs_odometer(1, n)
 
 
 def bs_odometer(c, d):
-    """The odometer with carries scaled by c: the letterwise action of
-    the cyclic part of BS(c,d)+ on its d-letter free factor, where
-    passing a carry costs c instead of 1."""
+    """The letterwise action of the cyclic part of BS(c,d)+ on its
+    d-letter free factor, where passing a carry costs c instead of 1."""
     if c < 1 or d < 1:
         raise ValueError("c and d must be positive")
-    return SSADescriptor(
-        name=f"bsodo:{c},{d}",
-        n_letters=d,
-        identity=0,
-        act=lambda k, x: (x + k) % d,
-        res=lambda k, x: c * ((x + k) // d),
-    )
+    return Odometer(c, d)
+
+
+def odometer_walk(D, k, letters):
+    """(k·letters, k|_letters): the action letter by letter, the
+    restriction trailing along; length is preserved."""
+    out = []
+    for x in letters:
+        out.append(D.act(k, x))
+        k = D.res(k, x)
+    return tuple(out), k
 
 
 def ssa_act_word(D, g, word):
-    """(g·word, g|_word) for a digit-string word; length is preserved."""
-    out = []
-    for ch in word:
-        x = int(ch)
-        out.append(str(D.act(g, x)))
-        g = D.res(g, x)
-    return "".join(out), g
-
-
-def ssa_act_inverse_word(D, g, word):
-    """The unique v with g·v == word, found letterwise: each step inverts
-    the bijection x -> g·x on the alphabet, then restricts."""
-    out = []
-    for ch in word:
-        y = int(ch)
-        for x in range(D.n_letters):
-            if D.act(g, x) == y:
-                break
-        else:
-            raise ValueError(f"{D.name}: letter {y} not in the image of {g!r}")
-        out.append(str(x))
-        g = D.res(g, x)
-    return "".join(out)
+    """(g·word, g|_word) for a digit-string word."""
+    letters, g = odometer_walk(D, g, map(int, word))
+    return "".join(map(str, letters)), g
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +282,12 @@ def ftheta_right_lcm(T, z1, z2):
     """Right LCM of z1 and z2, or IncomparableMultiples carrying the
     first two minimal common multiples in display order.  Coprime sizes
     use the closed form in the embedded progression picture; otherwise
-    the minimal common multiples, which all have the joined bidegree,
-    are the z1·t there that z2 left-divides."""
+    the minimal common multiples, which all have the joined bidegree
+    (P, Q), are the z·t there that the other operand left-divides.  The
+    search runs over the complements t of whichever operand z has fewer,
+    m^(P-p)·n^(Q-q) for z of bidegree (p, q), so one long operand costs
+    no factor per letter; it stays exponential when both stick out (x0.y0^7
+    against x0^7.y0 has 4^6 candidates on ftheta:4,6)."""
     if math.gcd(T.m, T.n) == 1:
         got = frac_right_lcm(ftheta_embed(T, z1), ftheta_embed(T, z2))
         if got is DISJOINT:
@@ -322,13 +296,18 @@ def ftheta_right_lcm(T, z1, z2):
                    ftheta_unembed(T, got.p_comp),
                    ftheta_unembed(T, got.q_comp))
     (p1, q1), (p2, q2) = _bidegree(z1), _bidegree(z2)
+    P, Q = max(p1, p2), max(q1, q2)
+    swap = (T.m ** (P - p2) * T.n ** (Q - q2)
+            < T.m ** (P - p1) * T.n ** (Q - q1))
+    z, other = (z2, z1) if swap else (z1, z2)
     found = []
-    for xs in itertools.product(range(T.m), repeat=max(p1, p2) - p1):
-        for ys in itertools.product(range(T.n), repeat=max(q1, q2) - q1):
-            w = ftheta_multiply(T, z1, (xs, ys))
-            v = ftheta_left_divide(T, z2, w)
+    for xs in itertools.product(range(T.m), repeat=P - len(z[0])):
+        for ys in itertools.product(range(T.n), repeat=Q - len(z[1])):
+            w = ftheta_multiply(T, z, (xs, ys))
+            v = ftheta_left_divide(T, other, w)
             if v is not None:
-                found.append(Lcm(w, (xs, ys), v))
+                found.append(Lcm(w, v, (xs, ys)) if swap
+                             else Lcm(w, (xs, ys), v))
     if not found:
         return DISJOINT
     if len(found) == 1:
@@ -364,8 +343,8 @@ def prop_compat_check(T, D_X, D_Y, g_range):
         x-part:  theta_X(y, x) == g^-1 · theta_X(g·y, g|_y·x)
         y-part:  theta_Y(y, x) == (g|_{theta_X(y,x)})^-1 · theta_Y(g·y, g|_y·x)
 
-    for every g in g_range and every letter pair.  Both descriptors must
-    encode group elements the same way and provide `inverse`.
+    for every integer g in g_range and every letter pair; integers act
+    on both alphabets by odometers, so g^-1 acts as -g.
     """
     report = Report()
     bad_x, bad_y = [], []
@@ -378,10 +357,10 @@ def prop_compat_check(T, D_X, D_Y, g_range):
                 gx = D_X.act(D_Y.res(g, j), i)
                 i2, j2 = T.theta(gy, gx)
                 spot = f"(g={g!r},y{j},x{i})"
-                if D_X.act(D_X.inverse(g), i2) != i1:
+                if D_X.act(-g, i2) != i1:
                     bad_x.append(spot)
                 rx = D_X.res(g, i1)
-                if D_Y.act(D_Y.inverse(rx), j2) != j1:
+                if D_Y.act(-rx, j2) != j1:
                     bad_y.append(spot)
     total = len(gs) * T.m * T.n
     report.add("compat-X", total, bad_x)

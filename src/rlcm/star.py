@@ -20,7 +20,7 @@ from .core import DISJOINT, IncomparableMultiples, enumerate_ball
 from .zs import zs_semigroup
 
 
-class ModeUnsupported(Exception):
+class ModeUnsupported(ValueError):
     """The requested foundation-check mode does not apply to this
     semigroup (the exact criterion needs a free monoid)."""
 
@@ -168,7 +168,7 @@ def is_foundation_set(S, F, mode, ball=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def foundation_transfer(D, clause, value, check_radius=None):
+def foundation_transfer(D, clause, value, check_radius):
     """Move foundation sets between the factors and the product U ⋈ A.
 
     clause "a": a single element a of A gives {(e_U, a)} in the product.
@@ -176,9 +176,9 @@ def foundation_transfer(D, clause, value, check_radius=None):
     clause "c": a foundation set G of the product projects to its set of
     U-components, a foundation set of U.
 
-    With `check_radius` set, the output is re-verified by a bounded
-    foundation check at that radius (on the product for "a"/"b", on U
-    for "c"); a failed check raises ValueError.
+    The output is re-verified by a bounded foundation check at
+    `check_radius` (on the product for "a"/"b", on U for "c"); a failed
+    check raises ValueError.
     """
     U, A = D.U, D.A
     if clause == "a":
@@ -196,10 +196,9 @@ def foundation_transfer(D, clause, value, check_radius=None):
         target = U
     else:
         raise ValueError(f"unknown clause {clause!r}")
-    if check_radius is not None:
-        ball = enumerate_ball(target, check_radius)
-        verdict = is_foundation_set(target, out, "bounded", ball=ball)
-        if not verdict.ok:
-            raise ValueError(
-                f"transferred set failed the bounded check: {verdict}")
+    ball = enumerate_ball(target, check_radius)
+    verdict = is_foundation_set(target, out, "bounded", ball=ball)
+    if not verdict.ok:
+        raise ValueError(
+            f"transferred set failed the bounded check: {verdict}")
     return out

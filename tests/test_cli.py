@@ -105,6 +105,10 @@ def test_bad_input_exits_2():
         code, _ = _run(["mul", "--semigroup", selector,
                         "(1;0)", "(ε;1)", "(1;0)"])
         assert code == 2, selector
+    # The exact foundation criterion needs a free monoid.
+    code, _ = _run(["foundation", "--semigroup", "nat", "--mode", "exact",
+                    "1"])
+    assert code == 2
 
 
 def test_unknown_model_suite_exits_2():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlcm import selfsim
 from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer,
                        IncomparableMultiples, enumerate_ball)
 from rlcm.selfsim import (adding_machine, bs_odometer, ftheta_anti_normal,
@@ -17,8 +18,7 @@ from rlcm.selfsim import (adding_machine, bs_odometer, ftheta_anti_normal,
                           ftheta_multiply, ftheta_normalize, ftheta_parse,
                           ftheta_right_lcm, ftheta_right_lcm_survey,
                           ftheta_semigroup, ftheta_unembed, prop_compat_check,
-                          ssa_act_inverse_word, ssa_act_word, theta_build,
-                          theta_swap)
+                          ssa_act_word, theta_build, theta_swap)
 from rlcm.zoo import frac_multiply
 
 
@@ -35,13 +35,12 @@ def test_adding_machine_acts_as_addition_with_carry():
 
 
 def test_action_inverse_round_trips():
+    # -g walks g's image back letter by letter, on both odometers.
     for D in (adding_machine(3), bs_odometer(2, 3)):
         for g in range(-5, 6):
-            if D.inverse is None and g < 0:
-                continue
             for word in ("", "0", "21", "102"):
                 image, _ = ssa_act_word(D, g, word)
-                assert ssa_act_inverse_word(D, g, image) == word
+                assert ssa_act_word(D, -g, image)[0] == word
 
 
 def test_bs_odometer_scales_carries():
@@ -207,6 +206,29 @@ def test_noncoprime_lcm_agrees_with_the_oracle(data):
     except BallTooSmall:
         return
     assert _outcome(oracle.S.right_lcm, z1, z2) == want
+
+
+def test_noncoprime_lcm_searches_from_the_smaller_side(monkeypatch):
+    # On ftheta:4,6, x0. has 6^10 complements at the join bidegree with
+    # .y0^10, which has only 4, so a handful of divisions must decide.
+    divide = selfsim.ftheta_left_divide
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > 100:
+            raise AssertionError("searched the larger side")
+        return divide(*args)
+
+    monkeypatch.setattr(selfsim, "ftheta_left_divide", counted)
+    T = theta_build(4, 6)
+    z1, z2 = ftheta_parse(T, "x0."), ftheta_parse(T, "." + "y0" * 10)
+    for p, q in ((z1, z2), (z2, z1)):
+        with pytest.raises(IncomparableMultiples) as e:
+            ftheta_right_lcm(T, p, q)
+        assert (e.value.p, e.value.q) == (p, q)
+        assert [ftheta_display(w) for w in e.value.witnesses] == [
+            "x0." + "y0" * 10, "x0." + "y0" * 9 + "y3"]
 
 
 # ---------------------------------------------------------------------------

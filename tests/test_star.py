@@ -146,7 +146,7 @@ def test_transfer_clauses_between_factor_and_product():
 def test_transfer_rejects_unknown_clauses():
     D = get_zs_descriptor("add:2")
     with pytest.raises(ValueError):
-        foundation_transfer(D, "d", None)
+        foundation_transfer(D, "d", None, check_radius=3)
 
 
 def test_random_foundation_sets_transfer(seed=0):

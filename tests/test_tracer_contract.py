@@ -71,6 +71,16 @@ def test_descriptors_are_built_through_the_swapped_name(matching_calls,
     assert catalog.get_zs_descriptor(name) is made[-1]
 
 
+@pytest.mark.parametrize("name", catalog.EXAMPLE_ZS_NAMES)
+def test_the_inverse_action_is_one_matching_call(matching_calls, name):
+    # Each descriptor reads its inverse action from its own walk; going
+    # through the (wrapped) action field would count twice.
+    _made, calls = matching_calls
+    D = catalog.get_zs_descriptor(name)
+    D.action_inverse(D.A.generators[0], D.U.generators[0])
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("selector", ("nxn", "zxz", "bs:1,2"))
 def test_family_lcms_run_through_the_swapped_name(matching_calls, selector):
     made, calls = matching_calls

@@ -6,7 +6,8 @@ import itertools
 
 import pytest
 
-from rlcm.catalog import EXAMPLE_ZS_NAMES, get_zs_descriptor
+from rlcm.catalog import (EXAMPLE_ZS_NAMES, get_semigroup, get_zs_descriptor,
+                          product_form)
 from rlcm.core import DISJOINT, IncomparableMultiples, enumerate_ball
 from rlcm.report import FAIL
 from rlcm.selfsim import (adding_machine, bs_odometer,
@@ -209,3 +210,23 @@ def test_cached_matching_equals_the_plain_walk(name):
         for state in ("cold", "warm"):
             got = {(a, u): f(a, u) for a, u in expected}
             assert got == expected, f"{name} {field} ({state})"
+
+
+# ---------------------------------------------------------------------------
+# The plain families nxn, zxz and bs:c,d answer their right LCMs through
+# their product form, so the split/join pair must be an isomorphism.
+
+
+@pytest.mark.parametrize("selector", ("nxn", "zxz", "bs:1,2", "bs:2,3"))
+def test_each_plain_family_is_its_product_form(selector):
+    S = get_semigroup(selector)
+    D, split, join = product_form(selector)
+    ball = list(enumerate_ball(S, 3))
+    for p in ball:
+        assert join(split(p)) == p
+        for r in ball:
+            assert split(S.multiply(p, r)) == zs_multiply(D, split(p),
+                                                          split(r))
+            q = S.left_divide(p, r)
+            want = None if q is None else split(q)
+            assert zs_left_divide(D, split(p), split(r)) == want, (p, r)
