@@ -16,7 +16,7 @@ import functools
 from . import zoo
 from .core import DISJOINT, Lcm, Semigroup
 from .selfsim import (adding_machine, bs_odometer, ftheta_semigroup,
-                      odometer_walk, ssa_act_word, theta_build)
+                      odometer_walk, ssa_act_word)
 from .zs import ZSDescriptor, zs_right_lcm, zs_semigroup
 
 
@@ -104,7 +104,6 @@ def ftheta_zs(m, n):
     carry continuing as the base-n odometer on the y-part.  As for the
     letterwise products, one cached walk gives the action, the
     restriction and (at -k) the inverse action."""
-    T = theta_build(m, n)
     DX, DY = adding_machine(m), adding_machine(n)
 
     @functools.cache
@@ -115,7 +114,7 @@ def ftheta_zs(m, n):
 
     return ZSDescriptor(
         name=f"ftheta:{m},{n}",
-        U=ftheta_semigroup(T),
+        U=ftheta_semigroup(m, n),
         A=zoo.int_add(),
         action=lambda k, z: action_res(k, z)[0],
         restriction=lambda k, z: action_res(k, z)[1],
@@ -273,7 +272,7 @@ def get_semigroup(selector):
         return zs_semigroup(get_zs_descriptor(selector[3:]))
     if selector.startswith("ftheta:"):
         m, n = _int_pair(selector[7:])
-        return ftheta_semigroup(theta_build(m, n))
+        return ftheta_semigroup(m, n)
     raise KeyError(f"unknown semigroup selector {selector!r}")
 
 

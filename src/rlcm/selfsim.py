@@ -239,89 +239,86 @@ def _parse_letters(part, kind, bound):
 
 
 # ---------------------------------------------------------------------------
-# Embedding into the affine semigroup over N for coprime alphabet sizes:
-# x_i -> (i, m), y_j -> (j, n).  Word values use least-significant-digit-
-# first base expansions, so an (xs, ys) word of bidegree (p, q) maps to
-# (rx + m^p * ry, m^p n^q) with rx, ry the digit values of the parts.
+# Embedding into the progressions: x_i -> (i, m), y_j -> (j, n), so by
+# least-significant-first digits a word of bidegree (p, q) maps to
+# (rx + m^p * ry, m^p n^q).  Under the standard table it is a homomorphism
+# for every (m, n), as j + i*n == i' + j'*m says y_j x_i and x_i' y_j' are
+# the same map k -> r + s*k.  It is injective on each bidegree, but not
+# across them when m and n share a factor (2^4 == 4^2 on ftheta:2,4).
 
 def ftheta_embed(T, z):
     xs, ys = z
     m, n = T.m, T.n
-    rx = sum(i * m ** k for k, i in enumerate(xs))
-    ry = sum(j * n ** k for k, j in enumerate(ys))
-    return (rx + m ** len(xs) * ry, m ** len(xs) * n ** len(ys))
+    r = 0
+    for j in reversed(ys):
+        r = r * n + j
+    for i in reversed(xs):
+        r = r * m + i
+    return (r, m ** len(xs) * n ** len(ys))
 
 
-def ftheta_unembed(T, pair):
-    r, s = pair
-    m, n = T.m, T.n
-    p = 0
-    while s % m == 0:
-        s //= m
-        p += 1
-    q = 0
-    while s % n == 0:
-        s //= n
-        q += 1
-    if s != 1:
-        raise ValueError(f"{pair} is not in the embedded image")
-    xs = []
-    for _ in range(p):
-        xs.append(r % m)
-        r //= m
-    ys = []
-    for _ in range(q):
-        ys.append(r % n)
-        r //= n
-    if r:
-        raise ValueError(f"{pair} is not in the embedded image")
-    return (tuple(xs), tuple(ys))
+def ftheta_decode(T, r, p, q):
+    """The word of bidegree (p, q) whose embedding is (r, m^p n^q), for
+    0 <= r < m^p n^q."""
+    letters = []
+    for b in (T.m,) * p + (T.n,) * q:
+        letters.append(r % b)
+        r //= b
+    return tuple(letters[:p]), tuple(letters[p:])
 
 
 def ftheta_right_lcm(T, z1, z2):
     """Right LCM of z1 and z2, or IncomparableMultiples carrying the
-    first two minimal common multiples in display order.  Coprime sizes
-    use the closed form in the embedded progression picture; otherwise
-    the minimal common multiples, which all have the joined bidegree
-    (P, Q), are the z·t there that the other operand left-divides.  The
-    search runs over the complements t of whichever operand z has fewer,
-    m^(P-p)·n^(Q-q) for z of bidegree (p, q), so one long operand costs
-    no factor per letter; it stays exponential when both stick out (x0.y0^7
-    against x0^7.y0 has 4^6 candidates on ftheta:4,6)."""
-    if math.gcd(T.m, T.n) == 1:
-        got = frac_right_lcm(ftheta_embed(T, z1), ftheta_embed(T, z2))
-        if got is DISJOINT:
-            return DISJOINT
-        return Lcm(ftheta_unembed(T, got.lcm),
-                   ftheta_unembed(T, got.p_comp),
-                   ftheta_unembed(T, got.q_comp))
+    first two minimal common multiples in letter order (x-letters, then
+    y-letters, each from the left, as ftheta_min_common_multiples lists
+    them).  Embedded, the minimal ones are the r < N = m^P n^Q at the
+    joined bidegree (P, Q) in the class r0 mod L = lcm(M1, M2) that
+    frac_right_lcm solves: N / L of them.  One (always, for coprime
+    sizes) is the LCM, decoded with its complements at their known
+    bidegrees.  Of more, the first two are chosen a letter at a time: a
+    prefix fixing r mod B extends iff it is r0 mod gcd(B, L)."""
+    got = frac_right_lcm(ftheta_embed(T, z1), ftheta_embed(T, z2))
+    if got is DISJOINT:
+        return DISJOINT
     (p1, q1), (p2, q2) = _bidegree(z1), _bidegree(z2)
     P, Q = max(p1, p2), max(q1, q2)
-    swap = (T.m ** (P - p2) * T.n ** (Q - q2)
-            < T.m ** (P - p1) * T.n ** (Q - q1))
-    z, other = (z2, z1) if swap else (z1, z2)
-    found = []
-    for xs in itertools.product(range(T.m), repeat=P - len(z[0])):
-        for ys in itertools.product(range(T.n), repeat=Q - len(z[1])):
-            w = ftheta_multiply(T, z, (xs, ys))
-            v = ftheta_left_divide(T, other, w)
-            if v is not None:
-                found.append(Lcm(w, v, (xs, ys)) if swap
-                             else Lcm(w, (xs, ys), v))
-    if not found:
-        return DISJOINT
-    if len(found) == 1:
-        return found[0]
-    found.sort(key=lambda c: ftheta_display(c.lcm))
-    raise IncomparableMultiples(z1, z2, [c.lcm for c in found[:2]])
+    r0, L = got.lcm
+    if L == T.m ** P * T.n ** Q:
+        return Lcm(ftheta_decode(T, r0, P, Q),
+                   ftheta_decode(T, got.p_comp[0], P - p1, Q - q1),
+                   ftheta_decode(T, got.q_comp[0], P - p2, Q - q2))
+    radices = [T.m] * P + [T.n] * Q
+
+    def least(start, v, B):
+        # The least completion of a prefix fixing r == v (mod B), and the
+        # state after the next-least letter at its last choice.
+        g, fork = math.gcd(B, L), None
+        for i in range(start, len(radices)):
+            b = radices[i]
+            c = math.gcd(b, L // g)  # the allowed letters: a class mod c
+            d = 0
+            while (v + d * B - r0) % (g * c):
+                d += 1
+            if c < b:
+                fork = (i + 1, v + (d + c) * B, B * b)
+            v, B, g = v + d * B, B * b, g * c
+        return v, fork
+
+    first, fork = least(0, 0, 1)
+    second, _ = least(*fork)
+    raise IncomparableMultiples(z1, z2, [ftheta_decode(T, r, P, Q)
+                                         for r in (first, second)])
 
 
-def ftheta_semigroup(T):
-    """The two-alphabet monoid as a descriptor over normal-form pairs."""
-    gens = tuple(((i,), ()) for i in range(T.m))
-    gens += tuple(((), (j,)) for j in range(T.n))
+def ftheta_semigroup(m, n):
+    """The two-alphabet monoid of the standard table as a descriptor over
+    normal-form pairs; its right LCM is the closed form above, which
+    holds for that table only."""
+    T = theta_build(m, n)
+    gens = tuple(((i,), ()) for i in range(m))
+    gens += tuple(((), (j,)) for j in range(n))
     return Semigroup(
-        name=f"ftheta:{T.m},{T.n}",
+        name=f"ftheta:{m},{n}",
         identity=((), ()),
         multiply=lambda p, q: ftheta_multiply(T, p, q),
         generators=gens,
@@ -416,6 +413,8 @@ def ftheta_right_lcm_survey(T, max_bidegree):
     and an all-singleton run is a complete certificate for the box.
     """
     P, Q = max_bidegree
+    if P < 0 or Q < 0:
+        raise ValueError(f"bidegree box {max_bidegree} has a negative entry")
     boxes = sorted(((p, q) for p in range(P + 1) for q in range(Q + 1)),
                    key=lambda d: (d[0] + d[1], d))
     checked = 0

@@ -109,6 +109,10 @@ def test_bad_input_exits_2():
     code, _ = _run(["foundation", "--semigroup", "nat", "--mode", "exact",
                     "1"])
     assert code == 2
+    # A box with a negative entry holds no pairs to survey.
+    code, _ = _run(["survey-ftheta", "--semigroup", "ftheta:2,2",
+                    "--bidegree=-1,2"])
+    assert code == 2
 
 
 def test_unknown_model_suite_exits_2():

@@ -2,23 +2,27 @@
 forms and the right-LCM survey."""
 
 import functools
+import io
 import itertools
 import math
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlcm import selfsim
+from rlcm.cli import run
 from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer,
                        IncomparableMultiples, enumerate_ball)
 from rlcm.selfsim import (adding_machine, bs_odometer, ftheta_anti_normal,
-                          ftheta_display, ftheta_embed, ftheta_factor,
-                          ftheta_left_divide, ftheta_min_common_multiples,
-                          ftheta_multiply, ftheta_normalize, ftheta_parse,
-                          ftheta_right_lcm, ftheta_right_lcm_survey,
-                          ftheta_semigroup, ftheta_unembed, prop_compat_check,
-                          ssa_act_word, theta_build, theta_swap)
+                          ftheta_decode, ftheta_display, ftheta_embed,
+                          ftheta_factor, ftheta_left_divide,
+                          ftheta_min_common_multiples, ftheta_multiply,
+                          ftheta_normalize, ftheta_parse, ftheta_right_lcm,
+                          ftheta_right_lcm_survey, ftheta_semigroup,
+                          prop_compat_check, ssa_act_word, theta_build,
+                          theta_swap)
 from rlcm.zoo import frac_multiply
 
 
@@ -72,10 +76,14 @@ def test_table_must_be_a_bijection():
         type(T)(2, 2, table)
 
 
-letters23 = st.lists(
-    st.one_of(st.tuples(st.just("x"), st.integers(0, 1)),
-              st.tuples(st.just("y"), st.integers(0, 2))),
-    max_size=8)
+def _letters(m, n):
+    return st.lists(
+        st.one_of(st.tuples(st.just("x"), st.integers(0, m - 1)),
+                  st.tuples(st.just("y"), st.integers(0, n - 1))),
+        max_size=8)
+
+
+letters23 = _letters(2, 3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,19 +129,23 @@ def test_parse_display_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# The embedding into arithmetic progressions (coprime case).
+# The embedding into arithmetic progressions, for every (m, n).
 
 
 @settings(max_examples=200, deadline=None)
-@given(letters23, letters23)
-def test_embedding_is_a_homomorphism(l1, l2):
-    T = theta_build(2, 3)
-    z1 = ftheta_normalize(T, l1)
-    z2 = ftheta_normalize(T, l2)
-    lhs = ftheta_embed(T, ftheta_multiply(T, z1, z2))
+@given(st.data())
+def test_embedding_is_a_homomorphism(data):
+    # Shared factors too: the embedding is then injective per bidegree
+    # only, so decoding needs the bidegree.
+    m, n = data.draw(st.sampled_from([(2, 3), (2, 4), (4, 6)]))
+    T = theta_build(m, n)
+    z1 = ftheta_normalize(T, data.draw(_letters(m, n)))
+    z2 = ftheta_normalize(T, data.draw(_letters(m, n)))
+    z = ftheta_multiply(T, z1, z2)
+    lhs = ftheta_embed(T, z)
     rhs = frac_multiply(ftheta_embed(T, z1), ftheta_embed(T, z2))
     assert lhs == rhs
-    assert ftheta_unembed(T, lhs) == ftheta_multiply(T, z1, z2)
+    assert ftheta_decode(T, lhs[0], len(z[0]), len(z[1])) == z
 
 
 def _all_words(T, max_bidegree):
@@ -151,6 +163,7 @@ def _all_words(T, max_bidegree):
     pytest.param(2, 4, (1, 2), id="2,4"),
     pytest.param(4, 6, (1, 1), id="4,6"),
     pytest.param(3, 6, (2, 1), id="3,6"),
+    pytest.param(2, 12, (1, 1), id="2,12"),
 ])
 def test_closed_lcm_matches_minimal_common_multiples(m, n, box):
     T = theta_build(m, n)
@@ -181,7 +194,7 @@ def test_closed_lcm_matches_minimal_common_multiples(m, n, box):
 def _ftheta_oracle(m, n):
     """Operands of radius 2 and a complement-mode oracle whose radius-4
     complements reach every join bidegree of two such operands."""
-    S = ftheta_semigroup(theta_build(m, n))
+    S = ftheta_semigroup(m, n)
     complements = enumerate_ball(S, 4)
     oracle = BruteForcer(S, complements, complements=complements)
     return enumerate_ball(S, 2).elements, oracle
@@ -229,6 +242,25 @@ def test_noncoprime_lcm_searches_from_the_smaller_side(monkeypatch):
         assert (e.value.p, e.value.q) == (p, q)
         assert [ftheta_display(w) for w in e.value.witnesses] == [
             "x0." + "y0" * 10, "x0." + "y0" * 9 + "y3"]
+
+
+def test_lcm_of_long_operands_sticking_out_is_read_off(monkeypatch):
+    # On ftheta:4,6, x0.y0^k and x0^k.y0 have 4^(k-1) and 6^(k-1)
+    # candidate complements at the join bidegree (k, k); the closed form
+    # multiplies and divides no words at all.
+    def refuse(*args):
+        raise AssertionError("searched the complements")
+
+    monkeypatch.setattr(selfsim, "ftheta_left_divide", refuse)
+    monkeypatch.setattr(selfsim, "ftheta_multiply", refuse)
+    k = 1000
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(["lcm", "--semigroup", "ftheta:4,6",
+                    "x0." + "y0" * k, "x0" * k + ".y0"])
+    multiple = "x0" * k + "." + "y0" * k
+    assert (code, buf.getvalue()) == (
+        1, f"incomparable {multiple} {multiple[:-2]}y3\n")
 
 
 # ---------------------------------------------------------------------------
