@@ -12,7 +12,6 @@ not numerics.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,10 +143,6 @@ class PartitionVerdict:
     def is_partition(self):
         return self.status == PARTITION
 
-    @property
-    def covers(self):
-        return self.status in (PARTITION, COVER_ONLY)
-
 
 def partition_check(family):
     """Exact partition/cover decision for identity-on-domain projections,
@@ -220,59 +215,57 @@ def _eq_family(report, suite, instances):
     report.add(suite, count, witnesses)
 
 
-def _partition_family(report, suite, instances, cover_enough=False):
-    """Instances of (projection family, tag) that must partition Z (or
-    merely cover it when cover_enough)."""
+def _partition_family(report, suite, instances):
+    """Instances of (projection family, tag) that must partition Z."""
     witnesses = []
     count = 0
     for family, tag in instances:
         count += 1
         verdict = partition_check(family)
-        good = verdict.covers if cover_enough else verdict.is_partition
-        if not good:
+        if not verdict.is_partition:
             witnesses.append(f"{tag}:{verdict.status}")
     report.add(suite, count, witnesses)
 
 
-def _affine_suites(t, s_of, D, a_range):
-    """The NxN and ZxZ table; K1/K2 read the matching of the product
-    form D."""
-    xs = QN_PRIMES
+def _affine_suites(D, t_of_u, s_of_a, levels, a_range):
+    """The suites of a model of the product form D, with t_of_u and
+    s_of_a the maps of its two factors: K1/K2 read the matching of D at
+    every a in a_range and every u of the levels, Q1 says each s_of_a is
+    a bijection, and Q2 that the range projections of each level
+    partition Z."""
+    us = [u for level in levels for u in level]
 
     def k1_cases():
         for a in a_range:
-            for x in xs:
-                for r in range(x):
-                    au = D.action(a, (r, x))
-                    ra = D.restriction(a, (r, x))
-                    yield (affine_compose(s_of(a), t(r, x)),
-                           affine_compose(t(*au), s_of(ra)),
-                           f"a={a},u=({r},{x})")
+            for u in us:
+                yield (affine_compose(s_of_a(a), t_of_u(u)),
+                       affine_compose(t_of_u(D.action(a, u)),
+                                      s_of_a(D.restriction(a, u))),
+                       f"a={a},u={D.U.display(u)}")
 
     def k2_cases():
         for a in a_range:
-            for x in xs:
-                for r in range(x):
-                    z = D.action_inverse(a, (r, x))
-                    rz = D.restriction(a, z)
-                    yield (affine_compose(affine_adjoint(s_of(a)), t(r, x)),
-                           affine_compose(t(*z), affine_adjoint(s_of(rz))),
-                           f"a={a},u=({r},{x})")
+            for u in us:
+                z = D.action_inverse(a, u)
+                yield (affine_compose(affine_adjoint(s_of_a(a)), t_of_u(u)),
+                       affine_compose(t_of_u(z), affine_adjoint(
+                           s_of_a(D.restriction(a, z)))),
+                       f"a={a},u={D.U.display(u)}")
 
     def q1_cases():
         for a in a_range:
-            yield (affine_compose(s_of(a), affine_adjoint(s_of(a))),
+            yield (affine_compose(s_of_a(a), affine_adjoint(s_of_a(a))),
                    affine(1, 0), f"a={a},ss*")
-            yield (affine_compose(affine_adjoint(s_of(a)), s_of(a)),
+            yield (affine_compose(affine_adjoint(s_of_a(a)), s_of_a(a)),
                    affine(1, 0), f"a={a},s*s")
 
     return {
         "K1": (_eq_family, k1_cases),
         "K2": (_eq_family, k2_cases),
         "Q1": (_eq_family, q1_cases),
-        "Q2": (functools.partial(_partition_family, cover_enough=True),
-               lambda: (([range_projection(t(k, p)) for k in range(p)],
-                         f"p={p}") for p in xs)),
+        "Q2": (_partition_family, lambda: (
+            ([range_projection(t_of_u(u)) for u in level],
+             "+".join(map(D.U.display, level))) for level in levels)),
     }
 
 
@@ -346,25 +339,19 @@ def _suite_table(name):
                   for j in range(abs(a))], f"a={a}")
                 for a in rng)),
         }
+    if name.startswith("BS1n:"):
+        # t_i is the letter i-1 of the base-d adding machine, s is b.
+        s, t, d = gen["s"], gen["t"], gen["d"]
+        return _affine_suites(catalog.add_zs(d), lambda u: t(int(u) + 1),
+                              lambda a: affine_power(s, a),
+                              [[str(k) for k in range(d)]], (1,))
+    fracs = [[(r, x) for r in range(x)] for x in QN_PRIMES]
     if name == "NxN":
-        return _affine_suites(gen["t"], gen["s"], catalog.nxn_zs(),
-                              list(range(11)))
-    if name == "ZxZ":
-        return _affine_suites(gen["t"], lambda a: gen["s"](*a),
-                              catalog.zxz_zs(),
-                              [(m, j) for m in range(11) for j in (1, -1)])
-    s, t, d = gen["s"], gen["t"], gen["d"]  # BS1n:d, the last model
-    return {
-        "1": (_partition_family, lambda: [
-            ([range_projection(t(i)) for i in range(1, d + 1)],
-             "sum t_i t_i*")]),
-        "2": (_eq_family, lambda: (
-            (affine_compose(s, t(i)), t(i + 1), f"i={i}")
-            for i in range(1, d))),
-        "3": (_eq_family, lambda: [
-            (affine_compose(s, t(d)),
-             affine_compose(t(1), affine_power(s, 1)), "st_d")]),
-    }
+        return _affine_suites(catalog.nxn_zs(), lambda u: gen["t"](*u),
+                              gen["s"], fracs, range(11))
+    return _affine_suites(catalog.zxz_zs(), lambda u: gen["t"](*u),
+                          lambda a: gen["s"](*a), fracs,
+                          [(m, j) for m in range(11) for j in (1, -1)])
 
 
 def verify_boundary_suite(name, suites=None):

@@ -2,11 +2,13 @@
 used by the command-line front end.
 
 The affine monoids over N and Z and the Baumslag-Solitar monoids are
-built here once each, as plain monoids on their own normal forms from
-the element arithmetic in `zoo`.  Each also has an explicit product
-U ⋈ A of two factors, and one split/join pair between the two shapes;
-its closed-form right LCM splits both arguments, runs the product-level
-LCM and joins the result.
+built here once each, as plain monoids on their own normal forms.  Each
+also has an explicit product U ⋈ A of two factors, and one split/join
+pair between the two shapes; its closed-form right LCM splits both
+arguments, runs the product-level LCM and joins the result.  The affine
+monoids multiply and divide by the element arithmetic in `zoo`; BS(c,d)+
+does all its arithmetic through its product form, the odometer, and
+takes only its display and grammar from `zoo`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from . import zoo
 from .core import DISJOINT, Lcm, Semigroup
 from .selfsim import (adding_machine, bs_odometer, ftheta_semigroup,
                       odometer_walk, ssa_act_word)
-from .zs import ZSDescriptor, zs_right_lcm, zs_semigroup
+from .zs import (ZSDescriptor, zs_left_divide, zs_multiply, zs_right_lcm,
+                 zs_semigroup)
 
 
 def ssa_zs_descriptor(D, name):
@@ -148,9 +151,7 @@ def product_form(selector):
     raise ValueError(f"{selector} has no product form")
 
 
-def _right_lcm(selector):
-    D, split, join = product_form(selector)
-
+def _right_lcm(D, split, join):
     def right_lcm(p, q):
         got = zs_right_lcm(D, split(p), split(q))
         if got is DISJOINT:
@@ -175,7 +176,7 @@ def nxn_semigroup():
         display=lambda p: f"({p[0]},{p[1]})",
         is_unit=lambda p: p == (0, 1),
         left_divide=zoo.frac_left_divide,
-        right_lcm=_right_lcm("nxn"),
+        right_lcm=_right_lcm(*product_form("nxn")),
         parse=parse,
     )
 
@@ -201,7 +202,7 @@ def zxz_semigroup():
         display=lambda p: f"({p[0]},{p[1]})",
         is_unit=lambda p: p[1] in (1, -1),
         left_divide=left_divide,
-        right_lcm=_right_lcm("zxz"),
+        right_lcm=_right_lcm(*product_form("zxz")),
         parse=parse,
     )
 
@@ -209,19 +210,31 @@ def zxz_semigroup():
 def bs_semigroup(c, d):
     """BS(c,d)+ on its canonical normal forms.
 
-    The generator list {a, b} matches the group presentation; the ball
-    metric therefore counts a/b letters of a shortest spelling.
+    Every product, quotient and right LCM runs through the one product
+    form, and parsing folds the grammar's powers a^k and b^k by that
+    product.  The generator list {a, b} matches the group presentation;
+    the ball metric therefore counts a/b letters of a shortest spelling.
     """
+    D, split, join = product_form(f"bs:{c},{d}")
+
+    def multiply(p, q):
+        return join(zs_multiply(D, split(p), split(q)))
+
+    def left_divide(p, r):
+        q = zs_left_divide(D, split(p), split(r))
+        return None if q is None else join(q)
+
     return Semigroup(
         name=f"bs:{c},{d}",
         identity=((), 0),
-        multiply=lambda p, q: zoo.bs_multiply(p, q, c, d),
+        multiply=multiply,
         generators=(((0,), 0), ((), 1)),  # a, b
         display=zoo.bs_display,
         is_unit=lambda p: p == ((), 0),
-        left_divide=lambda p, r: zoo.bs_left_divide(p, r, c, d),
-        right_lcm=_right_lcm(f"bs:{c},{d}"),
-        parse=lambda t: zoo.bs_parse(t, c, d),
+        left_divide=left_divide,
+        right_lcm=_right_lcm(D, split, join),
+        parse=lambda t: functools.reduce(multiply, zoo.bs_factors(t),
+                                         ((), 0)),
     )
 
 

@@ -401,6 +401,11 @@ def _bidegree(z):
     return (len(z[0]), len(z[1]))
 
 
+#: The most words the survey enumerates at the top bidegree of its box;
+#: its time and memory grow steeply with that count.
+SURVEY_MAX_WORDS = 4096
+
+
 def ftheta_right_lcm_survey(T, max_bidegree):
     """Search for right-LCM failures among all word pairs whose joined
     bidegree fits in the box.
@@ -411,10 +416,14 @@ def ftheta_right_lcm_survey(T, max_bidegree):
     bidegree D in the box it suffices to bucket all degree-D words by
     their pairs of prefixes: a bucket with two words is a counterexample,
     and an all-singleton run is a complete certificate for the box.
+    A box with more than SURVEY_MAX_WORDS words at its top is refused.
     """
     P, Q = max_bidegree
     if P < 0 or Q < 0:
         raise ValueError(f"bidegree box {max_bidegree} has a negative entry")
+    if T.m ** P * T.n ** Q > SURVEY_MAX_WORDS:
+        raise ValueError(f"bidegree box {max_bidegree} holds more than "
+                         f"{SURVEY_MAX_WORDS} words at its top")
     boxes = sorted(((p, q) for p in range(P + 1) for q in range(Q + 1)),
                    key=lambda d: (d[0] + d[1], d))
     checked = 0

@@ -1,7 +1,9 @@
 """The concrete semigroup families: free monoids, additive monoids and
 the fraction semigroup U of arithmetic progressions, plus the element
-arithmetic of the affine monoids over N and Z and of the positive
-Baumslag-Solitar monoids BS(c,d)+, whose semigroups `catalog` builds.
+arithmetic of the affine monoids over N and Z and the display and
+grammar of the positive Baumslag-Solitar monoids BS(c,d)+, whose
+semigroups `catalog` builds (BS(c,d)+ computes through its product
+form there).
 
 All mod operations on negative integers are Euclidean (Python's `%` with
 a positive modulus), so representatives always land in [0, x).
@@ -229,115 +231,33 @@ def zxz_decompose(p):
 
 # ---------------------------------------------------------------------------
 # BS(c,d)+: canonical form b^a1 a b^a2 a ... b^an a b^beta with each
-# exponent before an `a` in [0, d-1].  Elements are (alphas, beta) pairs.
-
-def bs_to_word(p):
-    alphas, beta = p
-    return "".join("b" * k + "a" for k in alphas) + "b" * beta
-
-
-def bs_from_word(word, d):
-    """Parse an {a,b}-letter string already in normal form."""
-    alphas = []
-    count = 0
-    for i, ch in enumerate(word):
-        if ch == "b":
-            count += 1
-        else:
-            if count >= d:
-                raise ParseError("word is not in normal form", i)
-            alphas.append(count)
-            count = 0
-    return (tuple(alphas), count)
-
-
-def bs_normalize(word, c, d, strategy="leftmost", rng=None):
-    """Rewrite b^d a -> a b^c until no redex remains.
-
-    Each application strictly decreases the total number of b's lying to
-    the left of the rightmost `a` when c < d, and more generally the
-    multiset of b-block heights left of each `a` under the well-founded
-    order induced by the rewrite, so the loop terminates.  `strategy`
-    is "leftmost" (the canonical leftmost-innermost choice) or "random"
-    (used by the confluence tests; requires `rng`).
-    """
-    redex = "b" * d + "a"
-    contractum = "a" + "b" * c
-    while True:
-        if strategy == "leftmost":
-            i = word.find(redex)
-            if i < 0:
-                return word
-        else:
-            spots = [m.start() for m in re.finditer(f"(?={redex})", word)]
-            if not spots:
-                return word
-            i = rng.choice(spots)
-        word = word[:i] + contractum + word[i + len(redex):]
-
-
-def bs_multiply(p, q, c, d):
-    return bs_from_word(bs_normalize(bs_to_word(p) + bs_to_word(q), c, d), d)
-
-
-def _bs_divide_letter(letter, r, c, d):
-    """q with letter * q == r, or None.  `letter` is 'a' or 'b'."""
-    alphas, beta = r
-    if letter == "a":
-        if alphas and alphas[0] == 0:
-            return (alphas[1:], beta)
-        return None
-    # letter == 'b'
-    if not alphas:
-        return ((), beta - 1) if beta >= 1 else None
-    if alphas[0] >= 1:
-        return ((alphas[0] - 1,) + alphas[1:], beta)
-    # r starts with `a`: b*q == r forces q = b^(d-1) a t with b^c t = tail.
-    t = (alphas[1:], beta)
-    for _ in range(c):
-        t = _bs_divide_letter("b", t, c, d)
-        if t is None:
-            return None
-    return ((d - 1,) + t[0], t[1])
-
-
-def bs_left_divide(p, r, c, d):
-    for ch in bs_to_word(p):
-        r = _bs_divide_letter(ch, r, c, d)
-        if r is None:
-            return None
-    return r
-
+# exponent before an `a` in [0, d-1].  Elements are (alphas, beta) pairs;
+# catalog computes with them through their product form.
 
 def bs_display(p):
-    word = bs_to_word(p)
-    if not word:
-        return EPSILON
-    parts = []
-    for ch, run in _runs(word):
-        parts.append(ch if run == 1 else f"{ch}^{run}")
-    return "*".join(parts)
+    """The normal form with each run of a letter as one power."""
+    alphas, beta = p
+    runs = []  # [letter, length]; an `a` after b^0 extends the last a-run
+    for k in alphas:
+        if k or not runs:
+            runs += [["b", k], ["a", 0]]
+        runs[-1][1] += 1
+    runs.append(["b", beta])
+    return "*".join(x if n == 1 else f"{x}^{n}"
+                    for x, n in runs if n) or EPSILON
 
 
-def _runs(word):
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        yield word[i], j - i
-        i = j
-
-
-def bs_parse(text, c, d):
+def bs_factors(text):
+    """The factors of a `*`-separated product of powers a^k and b^k, each
+    as one element: a^k is ((0,) * k, 0) and b^k is ((), k)."""
     text = text.strip()
     if text == EPSILON or text == "e":
-        return ((), 0)
-    word = []
+        return []
+    out = []
     for pos, factor in enumerate(text.split("*")):
         m = re.fullmatch(r"\s*([ab])(?:\^(\d+))?\s*", factor)
         if not m:
             raise ParseError(f"bad factor {factor!r}", pos)
-        word.append(m.group(1) * int(m.group(2) or 1))
-    return bs_from_word(bs_normalize("".join(word), c, d), d)
-
+        k = int(m.group(2) or 1)
+        out.append(((0,) * k, 0) if m.group(1) == "a" else ((), k))
+    return out

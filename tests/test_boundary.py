@@ -107,8 +107,8 @@ def test_boundary_suites_pass_exactly():
         "Q2": {"I", "II"},
         "QN": {"T1", "T2", "T3", "T4", "T5", "Q5", "Q6"},
         "QZ": {"i", "ii", "iii"},
-        "BS1n:2": {"1", "2", "3"},
-        "BS1n:3": {"1", "2", "3"},
+        "BS1n:2": {"K1", "K2", "Q1", "Q2"},
+        "BS1n:3": {"K1", "K2", "Q1", "Q2"},
         "NxN": {"K1", "K2", "Q1", "Q2"},
         "ZxZ": {"K1", "K2", "Q1", "Q2"},
     }

@@ -115,6 +115,14 @@ def test_bad_input_exits_2():
     assert code == 2
 
 
+def test_survey_refuses_a_box_too_large_to_enumerate():
+    # 3^4 * 4^4 = 20736 words at the top of the box; it is refused before
+    # any of them is made.
+    code, out = _run(["survey-ftheta", "--semigroup", "ftheta:3,4",
+                      "--bidegree", "4,4"])
+    assert (code, out) == (2, "")
+
+
 def test_unknown_model_suite_exits_2():
     code, out = _run(["check-relations", "--model", "QN", "--suite", "nope"])
     assert (code, out) == (2, "")
@@ -218,6 +226,60 @@ def test_verbs_reject_flags_they_do_not_read():
     with pytest.raises(SystemExit) as exc:
         _run(["mul", "--semigroup", "nat", "--radius", "2", "1"])
     assert exc.value.code == 2
+
+
+#: Answers of the plain BS(c,d)+ monoids, non-normal-form inputs among
+#: them, as the string-rewriting arithmetic that the odometer replaced
+#: printed them.
+BS_GOLDEN = [
+    ("mul", "bs:1,2", ("a*b", "b^2*a"), "a*b*a*b"),
+    ("mul", "bs:1,2", ("b^3*a",), "b*a*b"),
+    ("mul", "bs:1,2", ("b^2*a*b^4*a", "b^5"), "a*b*a*b^7"),
+    ("mul", "bs:1,2", ("b^3*a", "a*b"), "b*a*b*a*b"),
+    ("mul", "bs:1,2", ("a^3*b^2", "b^7*a^2"), "a^3*b*a^2*b^2"),
+    ("lcm", "bs:1,2", ("a*b", "b^2*a"), "a*b ; comp ε ε"),
+    ("lcm", "bs:1,2", ("b^3*a", "b^2*a*b^4*a"), "disjoint"),
+    ("lcm", "bs:1,2", ("b", "a"), "a*b ; comp b*a b"),
+    ("lcm", "bs:1,2", ("b^3*a", "b^5"), "b*a*b^2 ; comp b a"),
+    ("lcm", "bs:1,2", ("b^2*a*b^4*a", "b^3"), "a*b*a*b^2 ; comp ε b*a*b*a*b"),
+    ("lcm", "bs:1,2", ("a*b^5", "b^4*a"), "a*b^5 ; comp ε b^3"),
+    ("lcm", "bs:1,2", ("b^9", "a^2*b"), "a^2*b^3 ; comp b*a*b*a b^2"),
+    ("decompose", "bs:1,2", ("a*b^2",), "0 ; 2"),
+    ("decompose", "bs:1,2", ("b^3*a",), "1 ; 1"),
+    ("decompose", "bs:1,2", ("b^2*a*b^4*a",), "01 ; 2"),
+    ("decompose", "bs:1,2", ("ε",), "ε ; 0"),
+    ("normalize", "bs:1,2", ("v(a*b) v(b^2*a)*",), "v(a*b)v(a*b)*"),
+    ("normalize", "bs:1,2", ("v(b^3*a)* v(b^2*a*b^4*a)",), "0"),
+    ("normalize", "bs:1,2", ("v(b)* v(a)",), "v(b*a)v(b)*"),
+    ("normalize", "bs:1,2", ("e(b^3*a) v(a*b)*",), "v(b*a*b)v(a^2*b^2)*"),
+    ("mul", "bs:2,3", ("a*b", "b^2*a"), "a^2*b^2"),
+    ("mul", "bs:2,3", ("b^3*a",), "a*b^2"),
+    ("mul", "bs:2,3", ("b^2*a*b^4*a", "b^5"), "b^2*a*b*a*b^7"),
+    ("mul", "bs:2,3", ("b^3*a", "a*b"), "a*b^2*a*b"),
+    ("mul", "bs:2,3", ("a^3*b^2", "b^7*a^2"), "a^5*b^4"),
+    ("lcm", "bs:2,3", ("a*b", "b^2*a"), "disjoint"),
+    ("lcm", "bs:2,3", ("b^3*a", "b^2*a*b^4*a"), "disjoint"),
+    ("lcm", "bs:2,3", ("b", "a"), "a*b^2 ; comp b^2*a b^2"),
+    ("lcm", "bs:2,3", ("b^3*a", "b^5"), "a*b^4 ; comp b^2 b*a"),
+    ("lcm", "bs:2,3", ("b^2*a*b^4*a", "b^3"),
+     "b^2*a*b*a*b^2 ; comp ε b^2*a*b^2*a"),
+    ("lcm", "bs:2,3", ("a*b^5", "b^4*a"), "disjoint"),
+    ("lcm", "bs:2,3", ("b^9", "a^2*b"), "a^2*b^4 ; comp a^2 b^3"),
+    ("decompose", "bs:2,3", ("a*b^2",), "0 ; 2"),
+    ("decompose", "bs:2,3", ("b^3*a",), "0 ; 2"),
+    ("decompose", "bs:2,3", ("b^2*a*b^4*a",), "21 ; 2"),
+    ("decompose", "bs:2,3", ("ε",), "ε ; 0"),
+    ("normalize", "bs:2,3", ("v(a*b) v(b^2*a)*",), "v(a*b)v(b^2*a)*"),
+    ("normalize", "bs:2,3", ("v(b^3*a)* v(b^2*a*b^4*a)",), "0"),
+    ("normalize", "bs:2,3", ("v(b)* v(a)",), "v(b^2*a)v(b^2)*"),
+    ("normalize", "bs:2,3", ("e(b^3*a) v(a*b)*",), "v(a*b^2)v(a*b*a*b^2)*"),
+]
+
+
+def test_bs_answers_are_those_of_the_rewriting_arithmetic():
+    for verb, sel, args, want in BS_GOLDEN:
+        assert _run([verb, "--semigroup", sel, *args]) == (0, want + "\n"), \
+            (verb, sel, args)
 
 
 def test_parse_display_round_trip_on_small_balls():

@@ -221,19 +221,15 @@ def test_noncoprime_lcm_agrees_with_the_oracle(data):
     assert _outcome(oracle.S.right_lcm, z1, z2) == want
 
 
-def test_noncoprime_lcm_searches_from_the_smaller_side(monkeypatch):
+def test_noncoprime_lcm_is_decided_without_searching(monkeypatch):
     # On ftheta:4,6, x0. has 6^10 complements at the join bidegree with
-    # .y0^10, which has only 4, so a handful of divisions must decide.
-    divide = selfsim.ftheta_left_divide
-    calls = []
+    # .y0^10; the closed form reads both minimal multiples off without
+    # multiplying or dividing a single word.
+    def refuse(*args):
+        raise AssertionError("searched the complements")
 
-    def counted(*args):
-        calls.append(1)
-        if len(calls) > 100:
-            raise AssertionError("searched the larger side")
-        return divide(*args)
-
-    monkeypatch.setattr(selfsim, "ftheta_left_divide", counted)
+    monkeypatch.setattr(selfsim, "ftheta_left_divide", refuse)
+    monkeypatch.setattr(selfsim, "ftheta_multiply", refuse)
     T = theta_build(4, 6)
     z1, z2 = ftheta_parse(T, "x0."), ftheta_parse(T, "." + "y0" * 10)
     for p, q in ((z1, z2), (z2, z1)):

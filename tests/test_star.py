@@ -163,9 +163,9 @@ def test_random_foundation_sets_transfer(seed=0):
 def test_checks_hold_under_python_O():
     # `python -O` strips assert statements; these checks must survive it.
     script = textwrap.dedent("""
-        from rlcm.catalog import get_zs_descriptor
+        from rlcm.catalog import get_semigroup, get_zs_descriptor
         from rlcm.star import foundation_transfer
-        from rlcm.zoo import ParseError, bs_from_word
+        from rlcm.zoo import ParseError
         try:
             foundation_transfer(get_zs_descriptor("add:2"), "b", ["0"],
                                 check_radius=2)
@@ -173,7 +173,7 @@ def test_checks_hold_under_python_O():
         except ValueError:
             print("transfer refused")
         try:
-            bs_from_word("bbba", 3)
+            get_semigroup("bs:1,2").parse("c")
             print("word accepted")
         except ParseError:
             print("word refused")

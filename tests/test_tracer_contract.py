@@ -91,6 +91,21 @@ def test_family_lcms_run_through_the_swapped_name(matching_calls, selector):
     assert calls
 
 
+def test_bs_arithmetic_runs_through_the_swapped_name(matching_calls):
+    # bs:c,d multiplies, divides and parses through the one descriptor
+    # behind its right LCM, so the matching layer sees all of its work.
+    made, calls = matching_calls
+    S = catalog.get_semigroup("bs:1,2")
+    a, b = S.generators
+    ba = S.multiply(b, a)
+    for op in (lambda: S.multiply(b, a), lambda: S.left_divide(b, ba),
+               lambda: S.parse("b^3*a")):
+        before = len(calls)
+        op()
+        assert len(calls) > before
+    assert len(made) == 1
+
+
 @pytest.fixture
 def traced_package():
     """A fresh import of the package with the tracer installed, as the

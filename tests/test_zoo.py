@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlcm.catalog import bs_semigroup, nxn_semigroup, zxz_semigroup
-from rlcm.core import DISJOINT
-from rlcm.zoo import (ParseError, bs_left_divide, bs_multiply, bs_normalize,
-                      bs_parse, bs_to_word, frac_right_lcm, frac_semigroup,
+from rlcm.catalog import (bs_semigroup, get_semigroup, nxn_semigroup,
+                          zxz_semigroup)
+from rlcm.core import DISJOINT, enumerate_ball
+from rlcm.zoo import (ParseError, bs_display, frac_right_lcm, frac_semigroup,
                       free_monoid, int_add, nat_add, zsign_group,
                       zxz_decompose)
 
@@ -153,31 +153,50 @@ raw_words = st.text(alphabet="ab", max_size=12)
 bs_params = st.sampled_from([(1, 2), (2, 3), (3, 2), (2, 2)])
 
 
-@settings(max_examples=200, deadline=None)
-@given(raw_words, bs_params, st.integers(0, 2 ** 32))
-def test_bs_rewriting_is_confluent(word, cd, seed):
-    c, d = cd
-    leftmost = bs_normalize(word, c, d)
-    randomized = bs_normalize(word, c, d, strategy="random",
-                              rng=random.Random(seed))
-    assert leftmost == randomized
+@pytest.mark.parametrize("c, d", [(1, 2), (2, 3), (3, 2), (2, 2)])
+def test_bs_is_the_presented_monoid(c, d):
+    # The relation b^d a == a b^c holds, so the monoid generated by a and
+    # b is an image of <a, b | b^d a = a b^c>.  Every element up to length
+    # 4 is a normal form (each exponent before an `a` below d) and is the
+    # product of its normal-form letters, so the image separates normal
+    # forms: it is BS(c,d)+ itself.
+    S = get_semigroup(f"bs:{c},{d}")
+    a, b = S.generators
+
+    def power(x, k):
+        out = S.identity
+        for _ in range(k):
+            out = S.multiply(out, x)
+        return out
+
+    assert S.multiply(power(b, d), a) == S.multiply(a, power(b, c))
+    for p in enumerate_ball(S, 4):
+        alphas, beta = p
+        assert all(k < d for k in alphas), p
+        out = S.identity
+        for k in alphas:
+            out = S.multiply(S.multiply(out, power(b, k)), a)
+        assert S.multiply(out, power(b, beta)) == p
+
+
+def _bs_word(S, word):
+    return S.parse("*".join(word) or "ε")
 
 
 @settings(max_examples=150, deadline=None)
 @given(raw_words, raw_words, bs_params)
 def test_bs_left_divide_inverts_multiplication(w1, w2, cd):
     c, d = cd
-    from rlcm.zoo import bs_from_word
-    p = bs_from_word(bs_normalize(w1, c, d), d)
-    q = bs_from_word(bs_normalize(w2, c, d), d)
-    r = bs_multiply(p, q, c, d)
-    assert bs_left_divide(p, r, c, d) == q
+    S = get_semigroup(f"bs:{c},{d}")
+    p, q = _bs_word(S, w1), _bs_word(S, w2)
+    assert S.left_divide(p, S.multiply(p, q)) == q
 
 
 def test_bs_left_divide_through_carry():
     # In BS(1,2)+, b * (a b) == (b a) b == a b^2, so b divides a*b^2.
-    got = bs_left_divide(((), 1), bs_parse("a*b^2", 1, 2), 1, 2)
-    assert got == bs_parse("b*a*b", 1, 2)
+    S = get_semigroup("bs:1,2")
+    got = S.left_divide(S.parse("b"), S.parse("a*b^2"))
+    assert got == S.parse("b*a*b")
 
 
 # ---------------------------------------------------------------------------
@@ -207,4 +226,6 @@ def test_parse_display_round_trips():
 
 def test_bs_word_round_trip():
     p = ((0, 2, 1), 2)
-    assert bs_to_word(p) == "a" + "bba" + "ba" + "bb"
+    assert bs_display(p) == "a*b^2*a*b*a*b^2"
+    assert bs_display(((0, 0, 3, 0), 0)) == "a^2*b^3*a^2"
+    assert bs_semigroup(2, 5).parse(bs_display(p)) == p

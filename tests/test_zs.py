@@ -213,11 +213,13 @@ def test_cached_matching_equals_the_plain_walk(name):
 
 
 # ---------------------------------------------------------------------------
-# The plain families nxn, zxz and bs:c,d answer their right LCMs through
-# their product form, so the split/join pair must be an isomorphism.
+# The plain families nxn and zxz answer their right LCMs through their
+# product form, so the split/join pair must be an isomorphism.  (bs:c,d
+# computes through its product form throughout; test_zoo certifies that
+# it is the presented monoid.)
 
 
-@pytest.mark.parametrize("selector", ("nxn", "zxz", "bs:1,2", "bs:2,3"))
+@pytest.mark.parametrize("selector", ("nxn", "zxz"))
 def test_each_plain_family_is_its_product_form(selector):
     S = get_semigroup(selector)
     D, split, join = product_form(selector)
