@@ -12,11 +12,12 @@ not numerics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import catalog
+from . import catalog, zoo
 from .report import Report
 
 
@@ -180,28 +181,30 @@ QZ_RANGE = (1, -1, 2, -2, 3, -3)
 
 
 def build_model(name):
-    """Generator map of a named boundary model.
-
-    Names: QN, QZ, Q2, BS1n:<d>, NxN, ZxZ.  Parametric generators are
-    callables; fixed ones are AffinePI values.
-    """
+    """Generator map of a quotient model: QN, QZ, or Q2, whose u and s2
+    are s_1 and t_0 of BS1n:2 and whose suites are BS1n:2's.  Parametric
+    generators are callables; fixed ones are AffinePI values."""
     if name == "QN":
         return {"s": shift(1), "v": lambda p: scale(p)}
     if name == "QZ":
         return {"u": shift(1), "v": lambda a: scale(a)}
     if name == "Q2":
         return {"u": shift(1), "s2": scale(2)}
-    if name.startswith("BS1n:"):
-        d = int(name[5:])
-        if d < 2:
-            raise UnknownModel(name)
-        return {"s": shift(1), "t": lambda i: affine(d, i - 1), "d": d}
-    if name == "NxN":
-        return {"t": lambda r, x: affine(x, r), "s": lambda m: shift(m)}
-    if name == "ZxZ":
-        return {"t": lambda r, x: affine(x, r),
-                "s": lambda m, j: affine(j, m)}
     raise UnknownModel(name)
+
+
+def _image(F, e):
+    """The element e of a product's factor F as the map k -> x*k + m: an
+    integer is a shift, a progression (r, x) or a pair (m, j) of
+    Z x {1,-1} is already (m, x), and a word over d letters composes its
+    letters i -> d*k + i, the first letter outermost."""
+    if isinstance(e, int):
+        return shift(e)
+    if isinstance(e, str):
+        d = len(F.generators)
+        e = functools.reduce(zoo.frac_multiply,
+                             [(zoo.LETTERS.index(i), d) for i in e], (0, 1))
+    return affine(e[1], e[0])
 
 
 def _eq_family(report, suite, instances):
@@ -227,36 +230,36 @@ def _partition_family(report, suite, instances):
     report.add(suite, count, witnesses)
 
 
-def _affine_suites(D, t_of_u, s_of_a, levels, a_range):
-    """The suites of a model of the product form D, with t_of_u and
-    s_of_a the maps of its two factors: K1/K2 read the matching of D at
-    every a in a_range and every u of the levels, Q1 says each s_of_a is
-    a bijection, and Q2 that the range projections of each level
-    partition Z."""
+def _affine_suites(D, levels, a_range):
+    """The suites of the model of the product form D, each factor element
+    read through `_image`: K1/K2 read the matching of D at every a in
+    a_range and every u of the levels, Q1 says each s_a is a bijection,
+    and Q2 that the range projections of each level partition Z."""
     us = [u for level in levels for u in level]
+    t, s = functools.partial(_image, D.U), functools.partial(_image, D.A)
 
     def k1_cases():
         for a in a_range:
             for u in us:
-                yield (affine_compose(s_of_a(a), t_of_u(u)),
-                       affine_compose(t_of_u(D.action(a, u)),
-                                      s_of_a(D.restriction(a, u))),
+                yield (affine_compose(s(a), t(u)),
+                       affine_compose(t(D.action(a, u)),
+                                      s(D.restriction(a, u))),
                        f"a={a},u={D.U.display(u)}")
 
     def k2_cases():
         for a in a_range:
             for u in us:
                 z = D.action_inverse(a, u)
-                yield (affine_compose(affine_adjoint(s_of_a(a)), t_of_u(u)),
-                       affine_compose(t_of_u(z), affine_adjoint(
-                           s_of_a(D.restriction(a, z)))),
+                yield (affine_compose(affine_adjoint(s(a)), t(u)),
+                       affine_compose(t(z), affine_adjoint(
+                           s(D.restriction(a, z)))),
                        f"a={a},u={D.U.display(u)}")
 
     def q1_cases():
         for a in a_range:
-            yield (affine_compose(s_of_a(a), affine_adjoint(s_of_a(a))),
+            yield (affine_compose(s(a), affine_adjoint(s(a))),
                    affine(1, 0), f"a={a},ss*")
-            yield (affine_compose(affine_adjoint(s_of_a(a)), s_of_a(a)),
+            yield (affine_compose(affine_adjoint(s(a)), s(a)),
                    affine(1, 0), f"a={a},s*s")
 
     return {
@@ -264,7 +267,7 @@ def _affine_suites(D, t_of_u, s_of_a, levels, a_range):
         "K2": (_eq_family, k2_cases),
         "Q1": (_eq_family, q1_cases),
         "Q2": (_partition_family, lambda: (
-            ([range_projection(t_of_u(u)) for u in level],
+            ([range_projection(t(u)) for u in level],
              "+".join(map(D.U.display, level))) for level in levels)),
     }
 
@@ -273,18 +276,18 @@ def _suite_table(name):
     """The one table of a model: suite name -> (family checker, thunk
     yielding the suite's instances).  Its keys are the model's suite
     list, and no instance is computed before its thunk is called."""
+    if name == "Q2" or name.startswith("BS1n:"):
+        d = 2 if name == "Q2" else int(name[5:])
+        if d < 2:
+            raise UnknownModel(name)
+        return _affine_suites(catalog.add_zs(d), [zoo.LETTERS[:d]], (1,))
+    fracs = [[(r, x) for r in range(x)] for x in QN_PRIMES]
+    if name == "NxN":
+        return _affine_suites(catalog.nxn_zs(), fracs, range(11))
+    if name == "ZxZ":
+        return _affine_suites(catalog.zxz_zs(), fracs,
+                              [(m, j) for m in range(11) for j in (1, -1)])
     gen = build_model(name)
-    if name == "Q2":
-        u, s2 = gen["u"], gen["s2"]
-        return {
-            "I": (_eq_family, lambda: [
-                (affine_compose(s2, u),
-                 affine_compose(u, affine_compose(u, s2)), "s2u=u2s2")]),
-            "II": (_partition_family, lambda: [
-                ([range_projection(s2),
-                  range_projection(affine_compose(u, s2))],
-                 "s2s2*+us2s2*u*=1")]),
-        }
     if name == "QN":
         s, v, ps = gen["s"], gen["v"], QN_PRIMES
         return {
@@ -319,39 +322,25 @@ def _suite_table(name):
                 (affine_compose(s, affine_adjoint(s)), affine(1, 0), "ss*"),
                 (affine_compose(affine_adjoint(s), s), affine(1, 0), "s*s")]),
         }
-    if name == "QZ":
-        s, v, rng = gen["u"], gen["v"], QZ_RANGE
+    s, v, rng = gen["u"], gen["v"], QZ_RANGE
 
-        def ii_cases():
-            for a in rng:
-                yield (affine_compose(v(a), s),
-                       affine_compose(affine_power(s, a), v(a)), f"a={a},s")
-                yield (affine_compose(v(a), affine_adjoint(s)),
-                       affine_compose(affine_power(s, -a), v(a)), f"a={a},s*")
+    def ii_cases():
+        for a in rng:
+            yield (affine_compose(v(a), s),
+                   affine_compose(affine_power(s, a), v(a)), f"a={a},s")
+            yield (affine_compose(v(a), affine_adjoint(s)),
+                   affine_compose(affine_power(s, -a), v(a)), f"a={a},s*")
 
-        return {
-            "i": (_eq_family, lambda: (
-                (affine_compose(v(a), v(b)), v(a * b), f"a={a},b={b}")
-                for a in rng for b in rng)),
-            "ii": (_eq_family, ii_cases),
-            "iii": (_partition_family, lambda: (
-                ([range_projection(affine_compose(affine_power(s, j), v(a)))
-                  for j in range(abs(a))], f"a={a}")
-                for a in rng)),
-        }
-    if name.startswith("BS1n:"):
-        # t_i is the letter i-1 of the base-d adding machine, s is b.
-        s, t, d = gen["s"], gen["t"], gen["d"]
-        return _affine_suites(catalog.add_zs(d), lambda u: t(int(u) + 1),
-                              lambda a: affine_power(s, a),
-                              [[str(k) for k in range(d)]], (1,))
-    fracs = [[(r, x) for r in range(x)] for x in QN_PRIMES]
-    if name == "NxN":
-        return _affine_suites(catalog.nxn_zs(), lambda u: gen["t"](*u),
-                              gen["s"], fracs, range(11))
-    return _affine_suites(catalog.zxz_zs(), lambda u: gen["t"](*u),
-                          lambda a: gen["s"](*a), fracs,
-                          [(m, j) for m in range(11) for j in (1, -1)])
+    return {
+        "i": (_eq_family, lambda: (
+            (affine_compose(v(a), v(b)), v(a * b), f"a={a},b={b}")
+            for a in rng for b in rng)),
+        "ii": (_eq_family, ii_cases),
+        "iii": (_partition_family, lambda: (
+            ([range_projection(affine_compose(affine_power(s, j), v(a)))
+              for j in range(abs(a))], f"a={a}")
+            for a in rng)),
+    }
 
 
 def verify_boundary_suite(name, suites=None):
@@ -375,25 +364,25 @@ def verify_boundary_suite(name, suites=None):
 
 def verify_model_isomorphisms():
     """Exact affine identities behind the generator assignments between
-    the named quotient models and the product models."""
+    the named quotient models and the `_image` of the product factors."""
     report = Report()
     qn = build_model("QN")
-    nxn = build_model("NxN")
+    nxn = catalog.nxn_zs()
     _eq_family(
         report, "QN-NxN", (
             (affine_compose(affine_power(qn["s"], r), qn["v"](x)),
-             nxn["t"](r, x), f"(r,x)=({r},{x})")
+             _image(nxn.U, (r, x)), f"(r,x)=({r},{x})")
             for x in range(1, 13) for r in range(x)))
     qz = build_model("QZ")
-    zxz = build_model("ZxZ")
+    zxz = catalog.zxz_zs()
     _eq_family(
         report, "QZ-ZxZ", (
-            (qz["v"](a),
-             affine_compose(zxz["s"](0, a // abs(a)), zxz["t"](0, abs(a))),
+            (qz["v"](a), affine_compose(_image(zxz.A, (0, a // abs(a))),
+                                        _image(zxz.U, (0, abs(a)))),
              f"a={a}")
             for a in range(-6, 7) if a != 0))
     q2 = build_model("Q2")
-    bs = build_model("BS1n:2")
-    _eq_family(report, "Q2-BS12",
-               [(q2["u"], bs["s"], "u=s"), (q2["s2"], bs["t"](1), "s2=t1")])
+    bs = catalog.add_zs(2)
+    _eq_family(report, "Q2-BS12", [(q2["u"], _image(bs.A, 1), "u=s1"),
+                                   (q2["s2"], _image(bs.U, "0"), "s2=t0")])
     return report

@@ -144,10 +144,10 @@ def product_form(selector):
     if selector == "zxz":
         return zxz_zs(), zoo.zxz_decompose, lambda e: zoo.frac_multiply(*e)
     if selector.startswith("bs:"):
-        # alphas (k1, ..., kn) <-> the digit word "k1...kn" of b^k a letters
+        # alphas (k1, ..., kn) <-> the word of the b^k a letters LETTERS[k]
         return (bs_zs(*_int_pair(selector[3:])),
-                lambda p: ("".join(map(str, p[0])), p[1]),
-                lambda e: (tuple(map(int, e[0])), e[1]))
+                lambda p: ("".join(map(zoo.LETTERS.__getitem__, p[0])), p[1]),
+                lambda e: (tuple(map(zoo.LETTERS.index, e[0])), e[1]))
     raise ValueError(f"{selector} has no product form")
 
 

@@ -103,8 +103,11 @@ def parse_token_word(selector, text):
 def _parse_flex(S, inner):
     try:
         return S.parse(inner)
-    except Exception:
-        return S.parse(f"({inner})")
+    except ValueError as first:
+        try:
+            return S.parse(f"({inner})")
+        except ValueError:
+            raise first from None
 
 
 def _incomparable(S, e):

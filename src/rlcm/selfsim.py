@@ -21,7 +21,7 @@ from typing import Optional
 
 from .core import DISJOINT, IncomparableMultiples, Lcm, Semigroup
 from .report import Report
-from .zoo import frac_right_lcm
+from .zoo import LETTERS, frac_right_lcm
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ def odometer_walk(D, k, letters):
 
 
 def ssa_act_word(D, g, word):
-    """(g·word, g|_word) for a digit-string word."""
-    letters, g = odometer_walk(D, g, map(int, word))
-    return "".join(map(str, letters)), g
+    """(g·word, g|_word) for a word over `zoo.LETTERS`."""
+    letters, g = odometer_walk(D, g, map(LETTERS.index, word))
+    return "".join(map(LETTERS.__getitem__, letters)), g
 
 
 # ---------------------------------------------------------------------------

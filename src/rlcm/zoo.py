@@ -29,11 +29,15 @@ EPSILON = "ε"
 # ---------------------------------------------------------------------------
 # Free monoid on k digit letters.
 
+#: The digit letters of every word alphabet: letter i is LETTERS[i].
+LETTERS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
 def free_monoid(k):
-    """Words over {0, ..., k-1} under concatenation (k <= 10)."""
-    if not 1 <= k <= 10:
-        raise ValueError("alphabet size must be between 1 and 10")
-    letters = "".join(str(i) for i in range(k))
+    """Words over the first k of LETTERS under concatenation (k <= 36)."""
+    if not 1 <= k <= len(LETTERS):
+        raise ValueError(f"alphabet size must be between 1 and {len(LETTERS)}")
+    letters = LETTERS[:k]
 
     def left_divide(p, r):
         return r[len(p):] if r.startswith(p) else None

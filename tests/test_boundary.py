@@ -1,16 +1,20 @@
 """Exact affine partial injections and the boundary relation suites."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import rlcm.boundary as boundary
 from rlcm.boundary import (COVER_ONLY, DISJOINT_ONLY, EMPTY, NEITHER,
                            PARTITION, AffinePI, UnknownModel, affine,
                            affine_adjoint, affine_compose, affine_power,
                            build_model, partition_check, range_projection,
                            scale, shift, verify_boundary_suite,
                            verify_model_isomorphisms)
+from rlcm.catalog import add_zs
+from rlcm.report import Report
 
 
 def test_affine_evaluation_and_domain():
@@ -104,7 +108,7 @@ def test_partition_check_rejects_non_projections():
 
 def test_boundary_suites_pass_exactly():
     wanted = {
-        "Q2": {"I", "II"},
+        "Q2": {"K1", "K2", "Q1", "Q2"},
         "QN": {"T1", "T2", "T3", "T4", "T5", "Q5", "Q6"},
         "QZ": {"i", "ii", "iii"},
         "BS1n:2": {"K1", "K2", "Q1", "Q2"},
@@ -116,6 +120,50 @@ def test_boundary_suites_pass_exactly():
         report = verify_boundary_suite(name)
         assert report.ok, f"{name}: {report}"
         assert {c.suite for c in report.checks} == suites
+    # Q2 is the boundary model of BS(1,2)+: one table, the same lines.
+    assert (verify_boundary_suite("Q2").lines()
+            == verify_boundary_suite("BS1n:2").lines())
+
+
+def test_larsen_li_relations_are_instances_of_the_bs12_table():
+    gen = build_model("Q2")
+    u, s2 = gen["u"], gen["s2"]
+    # I: s2 u = u^2 s2, and II: s2 s2* + u s2 s2* u* = 1.
+    relation_i = (affine_compose(s2, u),
+                  affine_compose(u, affine_compose(u, s2)))
+    relation_ii = [range_projection(s2),
+                   range_projection(affine_compose(u, s2))]
+    assert relation_i[0] == relation_i[1]
+    assert partition_check(relation_ii).is_partition
+    # With t_1 = u s2, t_0 = s2 and s_1 = u, I is K1 at (1, "1") read
+    # right to left, and II is the partition of the level {0, 1}.
+    table = boundary._suite_table("BS1n:2")
+    k1 = {tag: (lhs, rhs) for lhs, rhs, tag in table["K1"][1]()}
+    assert k1["a=1,u=1"] == relation_i[::-1]
+    assert list(table["Q2"][1]()) == [(relation_ii, "0+1")]
+
+
+def _run_suite(table, suite):
+    report = Report()
+    family, instances = table[suite]
+    family(report, suite, instances())
+    return report
+
+
+def test_a_wrong_restriction_fails_k1_with_its_witness():
+    # 1 + 1 carries: the true restriction at (1, "1") is 1, not 0.
+    bad = dataclasses.replace(add_zs(2), restriction=lambda a, u: 0)
+    report = _run_suite(boundary._affine_suites(bad, ["01"], (1,)), "K1")
+    assert report.lines() == [
+        "RESULT FAIL K1 checked=2 failed=1 "
+        "a=1,u=1:2*n+2 on 0(mod 1)!=2*n+0 on 0(mod 1)"]
+
+
+def test_a_level_missing_a_letter_fails_the_partition():
+    table = boundary._affine_suites(add_zs(3), ["01"], (1,))
+    report = _run_suite(table, "Q2")
+    assert report.lines() == [
+        f"RESULT FAIL Q2 checked=1 failed=1 0+1:{DISJOINT_ONLY}"]
 
 
 def test_suite_filtering():
@@ -148,8 +196,10 @@ def test_model_isomorphism_identities():
 
 
 def test_unknown_model_raises():
-    with pytest.raises(UnknownModel):
-        build_model("nope")
+    # Only the quotient models have a generator map of their own.
+    for name in ("nope", "BS1n:2", "NxN", "ZxZ"):
+        with pytest.raises(UnknownModel):
+            build_model(name)
     with pytest.raises(UnknownModel):
         verify_boundary_suite("BS1n:1")
 

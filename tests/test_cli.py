@@ -5,7 +5,7 @@ import io
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -55,8 +55,19 @@ def test_check_axioms_verb():
 
 def test_check_relations_with_model():
     code, out = _run(["check-relations", "--model", "Q2"])
-    assert code == 0
-    assert "RESULT PASS I " in out and "RESULT PASS II " in out
+    assert (code, out) == (0, "RESULT PASS K1 checked=2 failed=0\n"
+                              "RESULT PASS K2 checked=2 failed=0\n"
+                              "RESULT PASS Q1 checked=2 failed=0\n"
+                              "RESULT PASS Q2 checked=1 failed=0\n")
+
+
+def test_check_relations_runs_every_product_suite_by_default():
+    code, out = _run(["check-relations", "--semigroup", "zs:add:2",
+                      "--radius", "1"])
+    lines = out.splitlines()
+    assert code == 0 and all(ln.startswith("RESULT PASS ") for ln in lines)
+    assert [ln.split()[2] for ln in lines] == [
+        "K1", "K2", "L1", "L2", "L3", "L4", "covariance", "isometry"]
 
 
 def test_check_relations_with_product():
@@ -113,6 +124,30 @@ def test_bad_input_exits_2():
     code, _ = _run(["survey-ftheta", "--semigroup", "ftheta:2,2",
                     "--bidegree=-1,2"])
     assert code == 2
+
+
+def test_a_parse_error_names_its_own_cause():
+    # The retry as "(-1)" fails too; the error shown is that of "-1".
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = _run(["normalize", "--semigroup", "nat", "v(-1)"])
+    assert (code, out) == (2, "")
+    assert err.getvalue() == (
+        "error: expected a non-negative integer (at position 0)\n")
+
+
+def test_alphabets_reach_past_ten_letters():
+    code, out = _run(["mul", "--semigroup", "bs:1,11", "b^11", "a"])
+    assert (code, out) == (0, "a*b\n")
+    code, out = _run(["check-relations", "--model", "BS1n:11"])
+    assert code == 0 and out.count("RESULT PASS ") == 4
+    code, out = _run(["check-axioms", "--semigroup", "zs:bs:2,12",
+                      "--radius", "2"])
+    assert code == 0 and out.count("RESULT PASS ") == 9
+    # LETTERS holds 36 letters; a larger alphabet is refused.
+    for argv in (["mul", "--semigroup", "free:37", "0"],
+                 ["check-relations", "--model", "BS1n:37"]):
+        assert _run(argv) == (2, ""), argv
 
 
 def test_survey_refuses_a_box_too_large_to_enumerate():

@@ -111,6 +111,22 @@ def test_complement_search_reaches_beyond_any_small_ball():
     assert got.lcm[1] == 216
 
 
+
+def test_incomparable_minimal_multiples_are_bounded_by_the_radius():
+    # On ftheta:2,2 the pair x0., .y0 has two minimal common multiples,
+    # x0.y0 and x0.y1, with complements of length 2: radius-2
+    # complements cannot certify them, radius-3 ones can.
+    S = get_semigroup("ftheta:2,2")
+    p, q = S.parse("x0."), S.parse(".y0")
+    small = enumerate_ball(S, 2)
+    with pytest.raises(BallTooSmall, match="incomparable candidates near "
+                       "the radius-2 boundary for x0., .y0"):
+        BruteForcer(S, small, complements=small).right_lcm(p, q)
+    large = enumerate_ball(S, 3)
+    with pytest.raises(IncomparableMultiples) as got:
+        BruteForcer(S, large, complements=large).right_lcm(p, q)
+    assert [S.display(w) for w in got.value.witnesses] == ["x0.y0", "x0.y1"]
+
 def _outcome(search, p, q):
     """A search's result, or its exception as comparable fields."""
     try:

@@ -76,6 +76,15 @@ def test_relation_suites_pass_on_all_example_products():
             assert report.ok, f"{name}/{suite}: {report}"
 
 
+def test_a_wrong_restriction_fails_k1_with_its_witness():
+    # 1 + 1 carries in the binary adding machine: a restriction that
+    # drops every carry breaks K1 at (1, "1").
+    bad = replace(get_zs_descriptor("add:2"), restriction=lambda a, u: 0)
+    report = verify_relations(bad, radius=2, suite="K")
+    k1 = next(c for c in report.checks if c.suite == "K1")
+    assert k1.failed and "K1(a=1,u=1)@(0 ; 0)" in k1.witnesses
+
+
 def test_comparator_can_actually_fail():
     # v_0 v_1 equals v_{01}, not v_{10}; the arrays must differ.
     S = free_monoid(2)

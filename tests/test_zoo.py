@@ -224,6 +224,14 @@ def test_parse_display_round_trips():
         assert S.parse(S.display(x)) == x
 
 
+def test_letters_past_nine_round_trip():
+    # zs:add:12 spells its letters 0-9, a, b.
+    S = get_semigroup("zs:add:12")
+    ball = enumerate_ball(S, 2)
+    assert all(S.parse(S.display(x)) == x for x in ball)
+    assert {S.display(x) for x in ball} >= {"(ab ; 0)", "(b ; 1)"}
+
+
 def test_bs_word_round_trip():
     p = ((0, 2, 1), 2)
     assert bs_display(p) == "a*b^2*a*b*a*b^2"
