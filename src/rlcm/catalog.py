@@ -23,23 +23,25 @@ from .zs import (ZSDescriptor, zs_left_divide, zs_multiply, zs_right_lcm,
                  zs_semigroup)
 
 
-def ssa_zs_descriptor(D, name):
-    """X* ⋈ N from an odometer D on the digit letters X.
-
-    One walk of each (a, u), cached per descriptor, gives the action and
-    the restriction, and the walk at -a gives the inverse action (the
-    odometer lets every integer act, though A is N); each distinct walk
-    runs once for the descriptor's lifetime.
-    """
-    act_res = functools.cache(lambda a, u: ssa_act_word(D, a, u))
+def walked_zs(name, U, A, walk):
+    """U ⋈ A matched by one walk, walk(a, u) == (a·u, a|_u), cached for
+    the descriptor's lifetime; the walk at -a is the inverse action, as
+    every integer acts on the words however small A is."""
+    walk = functools.cache(walk)
     return ZSDescriptor(
         name=name,
-        U=zoo.free_monoid(D.d),
-        A=zoo.nat_add(),
-        action=lambda a, u: act_res(a, u)[0],
-        restriction=lambda a, u: act_res(a, u)[1],
-        action_inverse=lambda a, u: act_res(-a, u)[0],
+        U=U,
+        A=A,
+        action=lambda a, u: walk(a, u)[0],
+        restriction=lambda a, u: walk(a, u)[1],
+        action_inverse=lambda a, u: walk(-a, u)[0],
     )
+
+
+def ssa_zs_descriptor(D, name):
+    """X* ⋈ N from an odometer D on the digit letters X."""
+    return walked_zs(name, zoo.free_monoid(D.d), zoo.nat_add(),
+                     lambda a, u: ssa_act_word(D, a, u))
 
 
 def add_zs(n):
@@ -104,25 +106,16 @@ def zxz_zs():
 def ftheta_zs(m, n):
     """F ⋈ Z where F is the two-alphabet monoid for the standard table
     and the integer k acts as the base-m odometer on the x-part, its
-    carry continuing as the base-n odometer on the y-part.  As for the
-    letterwise products, one cached walk gives the action, the
-    restriction and (at -k) the inverse action."""
+    carry continuing as the base-n odometer on the y-part."""
     DX, DY = adding_machine(m), adding_machine(n)
 
-    @functools.cache
-    def action_res(k, z):
+    def walk(k, z):
         xs, k = odometer_walk(DX, k, z[0])
         ys, k = odometer_walk(DY, k, z[1])
         return (xs, ys), k
 
-    return ZSDescriptor(
-        name=f"ftheta:{m},{n}",
-        U=ftheta_semigroup(m, n),
-        A=zoo.int_add(),
-        action=lambda k, z: action_res(k, z)[0],
-        restriction=lambda k, z: action_res(k, z)[1],
-        action_inverse=lambda k, z: action_res(-k, z)[0],
-    )
+    return walked_zs(f"ftheta:{m},{n}", ftheta_semigroup(m, n),
+                     zoo.int_add(), walk)
 
 
 # ---------------------------------------------------------------------------

@@ -193,9 +193,11 @@ def _dispatch(ns):
         from .regrep import verify_relations
         D = catalog.get_zs_descriptor(sel[3:])
         report = Report()
-        for suite in (ns.suite.split(",") if ns.suite
-                      else ("Li", "covariance", "K")):
-            report.extend(verify_relations(D, radius=ns.radius, suite=suite))
+        try:
+            for suite in (ns.suite or "Li,covariance,K").split(","):
+                report.extend(verify_relations(D, ns.radius, suite))
+        except IncomparableMultiples as e:
+            return _incomparable(zs_semigroup(D), e)
         return _finish(report)
 
     if ns.verb == "foundation":

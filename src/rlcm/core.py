@@ -96,9 +96,6 @@ class Ball:
         self.lengths = lengths
         self.elements = tuple(lengths)
 
-    def __contains__(self, x):
-        return x in self.lengths
-
     def __iter__(self):
         return iter(self.elements)
 

@@ -79,8 +79,8 @@ class ThetaTable:
     Stored as a mapping (j, i) -> (i', j') with its inverse; arbitrary
     bijections are accepted so that deliberately broken tables can be
     fed to the checkers.  The table also keeps the results of the letter
-    pushes that rewrite words over it (`_push_x`, `_push_y`), so each
-    distinct push is computed once per table.
+    pushes that rewrite words over it (`_swap`), so each distinct push
+    is computed once per table.
     """
 
     def __init__(self, m, n, table):
@@ -97,9 +97,6 @@ class ThetaTable:
 
     def theta(self, j, i):
         return self.table[(j, i)]
-
-    def theta_inv(self, i, j):
-        return self.inv[(i, j)]
 
 
 def theta_build(m, n):
@@ -123,43 +120,29 @@ def theta_swap(T, key1, key2):
     return ThetaTable(T.m, T.n, table)
 
 
-def _push_x(T, ys, i):
-    """Move one x-letter left through a block of y-letters."""
-    key = (ys, i)
-    got = T.x_pushes.get(key)
-    if got is None:
-        out = []
-        for j in reversed(ys):
-            i, j2 = T.theta(j, i)
-            out.append(j2)
-        got = T.x_pushes[key] = (i, tuple(reversed(out)))
-    return got
-
-
-def _push_y(T, xs, j):
-    """Move one y-letter left through a block of x-letters (inverse
-    rewriting x_i y_j -> y_j' x_i')."""
-    key = (xs, j)
-    got = T.y_pushes.get(key)
-    if got is None:
-        out = []
-        for i in reversed(xs):
-            j, i2 = T.theta_inv(i, j)
-            out.append(i2)
-        got = T.y_pushes[key] = (j, tuple(reversed(out)))
-    return got
+def _swap(table, cache, block, letters):
+    """(moved letters, new block): `letters` move left through `block`
+    one at a time, each pair rewritten by `table` as (block letter,
+    letter) -> (letter, block letter), each push cached by (block, letter)."""
+    moved = []
+    for a in letters:
+        key = (block, a)
+        got = cache.get(key)
+        if got is None:
+            out = []
+            for b in reversed(block):
+                a, b = table[(b, a)]
+                out.append(b)
+            got = cache[key] = (a, tuple(reversed(out)))
+        a, block = got
+        moved.append(a)
+    return tuple(moved), block
 
 
 def ftheta_multiply(T, z1, z2):
     """Product in X*Y* normal form; bidegrees add."""
-    xs1, ys1 = z1
-    xs2, ys2 = z2
-    ys = ys1
-    xs = list(xs1)
-    for i in xs2:
-        i2, ys = _push_x(T, ys, i)
-        xs.append(i2)
-    return (tuple(xs), ys + ys2)
+    xs, ys = _swap(T.table, T.x_pushes, z1[1], z2[0])
+    return (z1[0] + xs, ys + z2[1])
 
 
 def ftheta_normalize(T, letters):
@@ -174,29 +157,24 @@ def ftheta_normalize(T, letters):
 
 
 def ftheta_anti_normal(T, z):
-    """The same element written in Y*X* order, as (ys, xs)."""
-    xs, ys = z
-    out = []
-    for j in ys:
-        j2, xs = _push_y(T, xs, j)
-        out.append(j2)
-    return tuple(out), xs
+    """The same element written in Y*X* order, as (ys, xs), by the
+    inverse rewriting x_i y_j -> y_j' x_i'."""
+    return _swap(T.inv, T.y_pushes, *z)
 
 
 def ftheta_factor(T, z, d):
     """Split z = w1 * w2 with bidegree(w1) == d; None if d does not fit.
 
-    The split is unique: the x-part of w1 is forced, and the y-part is
-    read off after rewriting the remainder into Y*X* order.
+    The split is unique: the x-part of w1 is forced, and the middle block
+    xs[p1:] ys[:q1], rewritten as ys' xs', leaves w1 = xs[:p1] ys' and
+    w2 = xs' ys[q1:], both in normal form.
     """
     p1, q1 = d
     xs, ys = z
     if not (0 <= p1 <= len(xs) and 0 <= q1 <= len(ys)):
         return None
-    ays, axs = ftheta_anti_normal(T, (xs[p1:], ys))
-    w1 = (xs[:p1], ays[:q1])
-    w2 = ftheta_multiply(T, ((), ays[q1:]), (axs, ()))
-    return w1, w2
+    mys, mxs = ftheta_anti_normal(T, (xs[p1:], ys[:q1]))
+    return (xs[:p1], mys), (mxs, ys[q1:])
 
 
 def ftheta_left_divide(T, z1, z):

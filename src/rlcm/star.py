@@ -128,7 +128,9 @@ def is_foundation_set(S, F, mode, ball=None):
 
     mode "exact": free monoids only.  With N the longest length in F,
     F is a foundation set iff every length-N word has some member of F
-    as a prefix or extension; this is a complete decision.
+    as a prefix or extension; this is a complete decision.  It visits the
+    prefixes of members in letter order; the first word that leaves them
+    without extending a member, padded with the first letter, is the witness.
 
     mode "bounded": checks the defining condition for every p in `ball`
     with the exact right LCM; a clean sweep yields Foundation as a ball
@@ -145,12 +147,16 @@ def is_foundation_set(S, F, mode, ball=None):
                 f"exact foundation checking needs a free monoid, got {S.name}")
         letters = [S.display(g) for g in S.generators]
         depth = max(len(f) for f in F)
-        frontier = [""]
-        for _ in range(depth):
-            frontier = [w + x for w in frontier for x in letters]
-        for w in frontier:
-            if not any(w.startswith(f) or f.startswith(w) for f in F):
-                return FoundationVerdict(NOT_FOUNDATION, witness=w)
+        members = set(F)
+        prefixes = {f[:k] for f in members for k in range(len(f) + 1)}
+        stack = [""]
+        while stack:
+            w = stack.pop()
+            if w not in prefixes:
+                return FoundationVerdict(NOT_FOUNDATION,
+                                         witness=w.ljust(depth, letters[0]))
+            if w not in members:
+                stack.extend(w + x for x in reversed(letters))
         return FoundationVerdict(FOUNDATION)
     if mode == "bounded":
         if ball is None:

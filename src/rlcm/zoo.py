@@ -55,7 +55,7 @@ def free_monoid(k):
             return ""
         for i, ch in enumerate(text):
             if ch not in letters:
-                raise ParseError(f"expected a digit in [0,{k})", i)
+                raise ParseError(f"expected a letter in {letters}", i)
         return text
 
     return Semigroup(

@@ -42,6 +42,11 @@ def test_normalize_verb():
     assert (code, out) == (0, "0\n")
     code, out = _run(["normalize", "--semigroup", "free:2", "v(0)* v(01)"])
     assert (code, out) == (0, "v(1)v(ε)*\n")
+    # On a product, s(a) is the A-factor element (ε ; a).
+    for word, shown in (("s(1) t(0)", "v((1 ; 0))v((ε ; 0))*\n"),
+                        ("s(1)* t(1)", "v((0 ; 0))v((ε ; 0))*\n")):
+        assert _run(["normalize", "--semigroup", "zs:add:2", word]) == (
+            0, shown), word
 
 
 def test_check_axioms_verb():
@@ -77,6 +82,15 @@ def test_check_relations_with_product():
     assert "RESULT PASS K1" in out and "RESULT PASS K2" in out
 
 
+def test_check_relations_answers_a_counterexample_to_right_lcms():
+    # ftheta:2,2 has no right LCM of x0. and .y0; the Li and covariance
+    # suites meet that pair and answer it as lcm and normalize do.
+    for suite in ([], ["--suite", "Li"], ["--suite", "covariance"]):
+        assert _run(["check-relations", "--semigroup", "zs:ftheta:2,2",
+                     "--radius", "1", *suite]) == (
+            1, "incomparable (x0.y0 ; 0) (x0.y1 ; 0)\n"), suite
+
+
 def test_foundation_verb():
     code, out = _run(["foundation", "--semigroup", "free:2", "--mode",
                       "exact", "0", "1"])
@@ -102,6 +116,10 @@ def test_decompose_verb():
     assert (code, out) == (0, "(1,2) ; (-2,-1)\n")
     code, out = _run(["decompose", "--semigroup", "bs:2,3", "a*b^2"])
     assert (code, out) == (0, "0 ; 2\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert _run(["decompose", "--semigroup", "free:2", "0"]) == (2, "")
+    assert err.getvalue() == "error: free:2 has no product form\n"
 
 
 def test_bad_input_exits_2():
@@ -148,6 +166,14 @@ def test_alphabets_reach_past_ten_letters():
     for argv in (["mul", "--semigroup", "free:37", "0"],
                  ["check-relations", "--model", "BS1n:37"]):
         assert _run(argv) == (2, ""), argv
+
+
+def test_a_bad_letter_error_names_the_alphabet():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert _run(["mul", "--semigroup", "free:12", "c"]) == (2, "")
+    assert err.getvalue() == (
+        "error: expected a letter in 0123456789ab (at position 0)\n")
 
 
 def test_survey_refuses_a_box_too_large_to_enumerate():

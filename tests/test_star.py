@@ -96,6 +96,17 @@ def test_exact_mode_on_free_monoid():
     assert is_foundation_set(S, [""], "exact").ok
 
 
+def test_exact_mode_visits_only_the_prefixes_of_members():
+    # 2^40 words have the longest member's length; the witness is the
+    # first of them that neither member covers.
+    S = free_monoid(2)
+    got = is_foundation_set(S, ["0" * 40, "1"], "exact")
+    assert got == FoundationVerdict(NOT_FOUNDATION, "0" * 39 + "1")
+    # A 5,000-letter member is walked without recursion.
+    got = is_foundation_set(S, ["0" * 5000, "1"], "exact")
+    assert got == FoundationVerdict(NOT_FOUNDATION, "0" * 4999 + "1")
+
+
 def test_exact_mode_rejects_non_free_targets():
     with pytest.raises(ModeUnsupported):
         is_foundation_set(get_semigroup("frac"), [(0, 2)], "exact")

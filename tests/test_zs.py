@@ -135,6 +135,18 @@ def test_each_axiom_mutation_is_detected_by_its_suite():
         assert axiom in failed, f"mutating {axiom} went undetected"
 
 
+def test_a_wrong_inverse_action_fails_bijectivity_with_its_witness():
+    # The walk at +a in place of -a undoes the action on one-letter words
+    # of the base-2 adding machine, but not on two-letter ones.
+    base = get_zs_descriptor("add:2")
+    mutant = dataclasses.replace(base, action_inverse=base.action)
+    report = zs_axiom_check(mutant, enumerate_ball(base.U, 2),
+                            enumerate_ball(base.A, 2))
+    assert _failed_suites(mutant) == {"action-bijective"}
+    bij = next(c for c in report.checks if c.suite == "action-bijective")
+    assert bij.witnesses == ["1:00", "1:01", "1:10", "1:11"]
+
+
 def test_constant_restriction_violates_the_cocycle_axiom():
     # Keeping the genuine odometer action but forcing every restriction
     # to the identity breaks B5; the first witness is the carry at
