@@ -1,13 +1,13 @@
 """Exact affine partial injections of the integers and the concrete
 boundary models built from them.
 
-An AffinePI is a map n -> alpha*n + beta defined on a residue class
-rho (mod mu) of Z (or on nothing).  Slopes and offsets are stored as
-rationals because adjoints invert the slope, but every value taken on
-the domain is an integer: the invariant is alpha*mu in Z and
-alpha*rho + beta in Z.  Composition and inversion are exact congruence
-arithmetic, so relation checks in the models are genuine identities,
-not numerics.
+An AffinePI maps one integer progression onto another: rho + mu*t ->
+b + a*t for every integer t, with 0 <= rho < mu (or mu == 0, the empty
+map).  Every value is an integer by construction, and the composite,
+adjoint and range projection of such maps are again such maps, so
+relation checks in the models are exact congruence arithmetic, not
+numerics.  Slopes a/mu are fractional only for adjoints and in the
+printed form.
 """
 
 from __future__ import annotations
@@ -21,31 +21,30 @@ from . import catalog, zoo
 from .report import Report
 
 
-class UnknownModel(KeyError):
-    pass
+class UnknownModel(ValueError):
+    def __init__(self, name):
+        super().__init__(f"unknown model {name!r}")
 
 
 @dataclass(frozen=True)
 class AffinePI:
-    """n -> alpha*n + beta on the residue class rho (mod mu).
+    """rho + mu*t -> b + a*t for every integer t, with 0 <= rho < mu.
 
     mu == 0 encodes the empty map; use the module constant EMPTY.
-    Construct through `affine` for normalization and invariant checks.
     """
 
-    alpha: Fraction
-    beta: Fraction
     rho: int
     mu: int
+    b: int
+    a: int
 
     def is_empty(self):
         return self.mu == 0
 
     def __call__(self, n):
-        if self.mu == 0 or n % self.mu != self.rho:
+        if not self.defined_at(n):
             raise ValueError(f"{n} is outside the domain of {self}")
-        out = self.alpha * n + self.beta
-        return int(out)
+        return self.b + self.a * ((n - self.rho) // self.mu)
 
     def defined_at(self, n):
         return self.mu != 0 and n % self.mu == self.rho
@@ -53,24 +52,25 @@ class AffinePI:
     def __str__(self):
         if self.mu == 0:
             return "empty"
-        return f"{self.alpha}*n+{self.beta} on {self.rho}(mod {self.mu})"
+        alpha = Fraction(self.a, self.mu)
+        beta = self.b - alpha * self.rho
+        return f"{alpha}*n+{beta} on {self.rho}(mod {self.mu})"
 
 
-EMPTY = AffinePI(Fraction(1), Fraction(0), 0, 0)
+EMPTY = AffinePI(0, 0, 0, 0)
 
 
 def affine(alpha, beta, rho=0, mu=1):
-    """Normalized AffinePI with the integrality invariant enforced."""
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
+    """n -> alpha*n + beta on rho (mod mu), for integers alpha != 0 and
+    beta."""
+    if not (isinstance(alpha, int) and isinstance(beta, int)):
+        raise TypeError("slope and offset must be integers")
     if alpha == 0:
         raise ValueError("slope must be nonzero")
     if mu < 1:
         raise ValueError("modulus must be >= 1 (use EMPTY for the empty map)")
     rho %= mu
-    if (alpha * mu).denominator != 1 or (alpha * rho + beta).denominator != 1:
-        raise ValueError(f"map takes non-integer values on {rho}(mod {mu})")
-    return AffinePI(alpha, beta, rho, mu)
+    return AffinePI(rho, mu, alpha * rho + beta, alpha * mu)
 
 
 def shift(k):
@@ -86,35 +86,31 @@ def affine_compose(f, g):
     the domain of g into the domain of f."""
     if f.is_empty() or g.is_empty():
         return EMPTY
-    # g's values along its domain: B + A*t for t in Z.
-    A = int(g.alpha * g.mu)
-    B = int(g.alpha * g.rho + g.beta)
-    # need B + A*t == rho_f (mod mu_f)
-    d = math.gcd(A, f.mu)
-    if (f.rho - B) % d != 0:
+    # need g.b + g.a*t == f.rho (mod f.mu): t = t0 (mod mf)
+    d = math.gcd(g.a, f.mu)
+    if (f.rho - g.b) % d != 0:
         return EMPTY
     mf = f.mu // d
-    t0 = ((f.rho - B) // d * pow(A // d, -1, mf)) % mf if mf > 1 else 0
-    return affine(f.alpha * g.alpha, f.alpha * g.beta + f.beta,
-                  g.rho + g.mu * t0, g.mu * mf)
+    t0 = ((f.rho - g.b) // d * pow(g.a // d, -1, mf)) % mf if mf > 1 else 0
+    return AffinePI(g.rho + g.mu * t0, g.mu * mf,
+                    f.b + f.a * ((g.b + g.a * t0 - f.rho) // f.mu),
+                    f.a * (g.a // d))
 
 
 def affine_adjoint(f):
     """The inverse map on the range of f (itself a residue class)."""
     if f.is_empty():
         return EMPTY
-    step = abs(int(f.alpha * f.mu))
-    v0 = int(f.alpha * f.rho + f.beta)
-    return affine(1 / f.alpha, -f.beta / f.alpha, v0 % step, step)
+    step = abs(f.a)
+    r = f.b % step
+    return AffinePI(r, step, f.rho - f.mu * ((f.b - r) // f.a),
+                    f.mu * (f.a // step))
 
 
 def range_projection(f):
     """f ∘ f*: the identity on the range of f."""
-    if f.is_empty():
-        return EMPTY
-    step = abs(int(f.alpha * f.mu))
-    v0 = int(f.alpha * f.rho + f.beta)
-    return affine(1, 0, v0 % step, step)
+    g = affine_adjoint(f)
+    return AffinePI(g.rho, g.mu, g.rho, g.mu)
 
 
 def affine_power(f, k):
@@ -148,18 +144,15 @@ class PartitionVerdict:
 def partition_check(family):
     """Exact partition/cover decision for identity-on-domain projections,
     via residue counting modulo the lcm of the moduli."""
-    family = [p for p in family]
+    family = [p for p in family if not p.is_empty()]
     for p in family:
-        if not p.is_empty() and (p.alpha != 1 or p.beta != 0):
+        if (p.b, p.a) != (p.rho, p.mu):
             raise ValueError(f"{p} is not an identity-on-domain projection")
-    moduli = [p.mu for p in family if not p.is_empty()]
-    if not moduli:
+    if not family:
         return PartitionVerdict(NEITHER, uncovered=0)
-    big = math.lcm(*moduli)
+    big = math.lcm(*(p.mu for p in family))
     counts = [0] * big
     for p in family:
-        if p.is_empty():
-            continue
         for r in range(p.rho, big, p.mu):
             counts[r] += 1
     uncovered = next((r for r, c in enumerate(counts) if c == 0), None)
@@ -209,25 +202,18 @@ def _image(F, e):
 
 def _eq_family(report, suite, instances):
     """Instances of exact AffinePI equalities (lhs, rhs, tag)."""
-    witnesses = []
-    count = 0
-    for lhs, rhs, tag in instances:
-        count += 1
-        if lhs != rhs:
-            witnesses.append(f"{tag}:{lhs}!={rhs}")
-    report.add(suite, count, witnesses)
+    instances = list(instances)
+    report.add(suite, len(instances), [f"{tag}:{lhs}!={rhs}"
+                                       for lhs, rhs, tag in instances
+                                       if lhs != rhs])
 
 
 def _partition_family(report, suite, instances):
     """Instances of (projection family, tag) that must partition Z."""
-    witnesses = []
-    count = 0
-    for family, tag in instances:
-        count += 1
-        verdict = partition_check(family)
-        if not verdict.is_partition:
-            witnesses.append(f"{tag}:{verdict.status}")
-    report.add(suite, count, witnesses)
+    verdicts = [(partition_check(family), tag) for family, tag in instances]
+    report.add(suite, len(verdicts), [f"{tag}:{verdict.status}"
+                                      for verdict, tag in verdicts
+                                      if not verdict.is_partition])
 
 
 def _affine_suites(D, levels, a_range):

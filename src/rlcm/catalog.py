@@ -252,7 +252,7 @@ def get_zs_descriptor(name):
     if name.startswith("ftheta:"):
         m, n = _int_pair(name[7:])
         return ftheta_zs(m, n)
-    raise KeyError(f"unknown product descriptor {name!r}")
+    raise ValueError(f"unknown product descriptor {name!r}")
 
 
 def get_semigroup(selector):
@@ -279,7 +279,7 @@ def get_semigroup(selector):
     if selector.startswith("ftheta:"):
         m, n = _int_pair(selector[7:])
         return ftheta_semigroup(m, n)
-    raise KeyError(f"unknown semigroup selector {selector!r}")
+    raise ValueError(f"unknown semigroup selector {selector!r}")
 
 
 def _int_pair(text):

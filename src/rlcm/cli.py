@@ -120,7 +120,7 @@ def run(argv=None):
     ns = build_parser().parse_args(argv)
     try:
         return _dispatch(ns)
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -183,18 +183,20 @@ def _dispatch(ns):
         return _finish(report)
 
     if ns.verb == "check-relations":
+        suites = None if ns.suite is None else tuple(ns.suite.split(","))
         if ns.model is not None:
-            suites = None if ns.suite is None \
-                else tuple(ns.suite.split(","))
             return _finish(boundary.verify_boundary_suite(ns.model, suites))
         sel = _need(ns, "semigroup")
         if not sel.startswith("zs:"):
             raise ValueError("check-relations needs --model or zs:<name>")
-        from .regrep import verify_relations
+        from .regrep import SUITES, verify_relations
+        unknown = sorted(set(suites or ()) - set(SUITES))
+        if unknown:
+            raise ValueError(f"{sel} has no suite {', '.join(unknown)}")
         D = catalog.get_zs_descriptor(sel[3:])
         report = Report()
         try:
-            for suite in (ns.suite or "Li,covariance,K").split(","):
+            for suite in suites or SUITES:
                 report.extend(verify_relations(D, ns.radius, suite))
         except IncomparableMultiples as e:
             return _incomparable(zs_semigroup(D), e)

@@ -250,28 +250,31 @@ class BruteForcer:
         A certified LCM must left-divide every multiple in `common`, and
         its `length` must stay clear of the `radius` boundary.  The
         shortest candidate is checked first and is the LCM in practice;
-        only when it fails are the others scanned shortest-first.
+        only when it fails are the minimal multiples found, in one pass,
+        and the first of them, shortest-first, must divide the others.
         """
         S = self.S
         shortest = min(map(length, common))
-        first = min((m for m in common if length(m) == shortest),
-                    key=S.display)
-        ordered = [first]
-        for m in ordered:
-            if all(S.left_divide(m, t) is not None for t in common):
-                if length(m) >= radius - 1:
-                    raise BallTooSmall(
-                        f"{S.name}: minimal common multiple {S.display(m)} "
-                        f"lies at the radius-{radius} boundary")
-                return Lcm(m, S.left_divide(p, m), S.left_divide(q, m))
-            if len(ordered) == 1:
-                ordered += sorted((t for t in common if t != m),
-                                  key=lambda t: (length(t), S.display(t)))
-        minimal = [m for m in ordered
-                   if not any(t != m
-                              and S.left_divide(t, m) is not None
-                              and S.left_divide(m, t) is None
-                              for t in common)]
+        minimal = [min((m for m in common if length(m) == shortest),
+                       key=S.display)]
+        if not all(S.left_divide(minimal[0], t) is not None for t in common):
+            minimal = []  # the minimal multiples among those seen so far
+            for t in common:
+                below = next((k for k in minimal
+                              if S.left_divide(k, t) is not None), None)
+                if below is None:  # t is minimal so far: drop those above it
+                    minimal = [k for k in minimal
+                               if S.left_divide(t, k) is None] + [t]
+                elif S.left_divide(t, below) is not None:  # a unit translate
+                    minimal.append(t)
+            minimal.sort(key=lambda t: (length(t), S.display(t)))
+        m = minimal[0]
+        if all(S.left_divide(m, t) is not None for t in minimal[1:]):
+            if length(m) >= radius - 1:
+                raise BallTooSmall(
+                    f"{S.name}: minimal common multiple {S.display(m)} "
+                    f"lies at the radius-{radius} boundary")
+            return Lcm(m, S.left_divide(p, m), S.left_divide(q, m))
         if any(length(m) >= radius - 1 for m in minimal):
             raise BallTooSmall(
                 f"{S.name}: incomparable candidates near the radius-{radius} "

@@ -98,6 +98,10 @@ def op_compare(basis, F, G):
 # ---------------------------------------------------------------------------
 # Relation suites over a product descriptor.
 
+#: The suites `verify_relations` runs, in the order the CLI runs them.
+SUITES = ("Li", "covariance", "K")
+
+
 class RepContext:
     """Cached tables, adjoints and range projections over one ball."""
 

@@ -128,9 +128,10 @@ def is_foundation_set(S, F, mode, ball=None):
 
     mode "exact": free monoids only.  With N the longest length in F,
     F is a foundation set iff every length-N word has some member of F
-    as a prefix or extension; this is a complete decision.  It visits the
-    prefixes of members in letter order; the first word that leaves them
-    without extending a member, padded with the first letter, is the witness.
+    as a prefix or extension; this is a complete decision.  It walks the
+    members in letter order, keeping the first prefix they leave
+    uncovered; a member must be that prefix followed by first letters, or
+    the prefix, padded with the first letter, is the witness.
 
     mode "bounded": checks the defining condition for every p in `ball`
     with the exact right LCM; a clean sweep yields Foundation as a ball
@@ -147,17 +148,18 @@ def is_foundation_set(S, F, mode, ball=None):
                 f"exact foundation checking needs a free monoid, got {S.name}")
         letters = [S.display(g) for g in S.generators]
         depth = max(len(f) for f in F)
-        members = set(F)
-        prefixes = {f[:k] for f in members for k in range(len(f) + 1)}
-        stack = [""]
-        while stack:
-            w = stack.pop()
-            if w not in prefixes:
-                return FoundationVerdict(NOT_FOUNDATION,
-                                         witness=w.ljust(depth, letters[0]))
-            if w not in members:
-                stack.extend(w + x for x in reversed(letters))
-        return FoundationVerdict(FOUNDATION)
+        gap = ""  # the first prefix that the members so far leave uncovered
+        for f in sorted(F):
+            if f < gap:
+                continue  # it extends the member that covered the last gap
+            if f != gap.ljust(len(f), letters[0]):
+                break
+            stem = f.rstrip(letters[-1])
+            if not stem:
+                return FoundationVerdict(FOUNDATION)
+            gap = stem[:-1] + letters[letters.index(stem[-1]) + 1]
+        return FoundationVerdict(NOT_FOUNDATION,
+                                 witness=gap.ljust(depth, letters[0]))
     if mode == "bounded":
         if ball is None:
             raise ValueError("bounded mode needs a ball")

@@ -26,9 +26,10 @@ def test_affine_evaluation_and_domain():
 
 
 def test_constructor_enforces_integrality():
-    affine(Fraction(1, 2), 0, rho=0, mu=2)  # halving the evens is fine
-    with pytest.raises(ValueError):
-        affine(Fraction(1, 2), 0, rho=1, mu=2)
+    # A fractional slope arises only as an adjoint, never as input.
+    for rho in (0, 1):
+        with pytest.raises(TypeError):
+            affine(Fraction(1, 2), 0, rho=rho, mu=2)
     with pytest.raises(ValueError):
         affine(0, 1)
 
@@ -48,7 +49,8 @@ def test_compose_solves_the_domain_congruence():
 def test_adjoint_inverts_on_the_range():
     s2 = scale(2)  # n -> 2n on all of Z
     adj = affine_adjoint(s2)
-    assert (adj.alpha, adj.rho, adj.mu) == (Fraction(1, 2), 0, 2)
+    assert (adj.rho, adj.mu) == (0, 2)
+    assert str(adj) == "1/2*n+0 on 0(mod 2)"
     assert adj(10) == 5
     # s2* s2 = 1, s2 s2* = identity on the evens
     assert affine_compose(adj, s2) == affine(1, 0)
@@ -86,6 +88,42 @@ def test_composition_is_associative_and_adjoint_involutive():
         assert affine_adjoint(affine_adjoint(f)) == f
         # partial isometry law f f* f == f
         assert affine_compose(f, affine_compose(affine_adjoint(f), f)) == f
+
+
+def _random_word_map(rng, depth=4):
+    """A seeded composite of up to `depth` shifts, scales and their
+    adjoints, each step possibly taking the adjoint of the whole."""
+    atoms = [shift(k) for k in range(-3, 4)]
+    for a in (1, -1, 2, -2, 3, -3):
+        atoms += [scale(a), affine_adjoint(scale(a))]
+    f = rng.choice(atoms)
+    for _ in range(rng.randint(0, depth - 1)):
+        g = rng.choice(atoms)
+        f = affine_compose(*((f, g) if rng.random() < 0.5 else (g, f)))
+        if rng.random() < 0.3:
+            f = affine_adjoint(f)
+    return f
+
+
+def test_affine_maps_agree_with_pointwise_evaluation():
+    rng = random.Random(7)
+    maps = [_random_word_map(rng) for _ in range(30)]
+    points = range(-60, 61)
+    for f in maps:
+        for g in maps:
+            fg = affine_compose(f, g)
+            for n in points:
+                defined = g.defined_at(n) and f.defined_at(g(n))
+                assert fg.defined_at(n) == defined, (f, g, n)
+                if defined:
+                    assert fg(n) == f(g(n)), (f, g, n)
+        adj, proj = affine_adjoint(f), range_projection(f)
+        for n in points:
+            if f.defined_at(n):
+                assert adj(f(n)) == n, (f, n)
+            assert proj.defined_at(n) == adj.defined_at(n), (f, n)
+            if proj.defined_at(n):
+                assert proj(n) == n, (f, n)
 
 
 def test_partition_verdicts():

@@ -189,6 +189,51 @@ def test_unknown_model_suite_exits_2():
     assert (code, out) == (2, "")
 
 
+def test_product_suites_are_checked_before_any_table(monkeypatch):
+    import rlcm.regrep as regrep
+    calls = []
+    real = regrep.rep_generator
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(regrep, "rep_generator", counted)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = _run(["check-relations", "--semigroup", "zs:zxz",
+                          "--suite", "Li,bogus"])
+        assert (code, out, calls) == (2, "", [])
+        # An empty suite name is unknown to products and models alike.
+        for argv in (["--semigroup", "zs:zxz"], ["--model", "QN"]):
+            assert _run(["check-relations", *argv, "--suite", ""]) == (2, "")
+    assert calls == []
+    assert err.getvalue().splitlines() == [
+        "error: zs:zxz has no suite bogus", "error: zs:zxz has no suite ",
+        "error: model QN has no suite "]
+
+
+def test_unknown_names_are_errors_that_name_them(monkeypatch):
+    for argv, message in (
+            (["mul", "--semigroup", "add:2", "0"],
+             "unknown semigroup selector 'add:2'"),
+            (["check-axioms", "--semigroup", "zs:add"],
+             "unknown product descriptor 'add'"),
+            (["check-relations", "--model", "BS1n:1"],
+             "unknown model 'BS1n:1'")):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert _run(argv) == (2, "")
+        assert err.getvalue() == f"error: {message}\n"
+    # A KeyError is a fault of the program, not of its input.
+    def broken(selector):
+        raise KeyError(selector)
+
+    monkeypatch.setattr(catalog, "get_semigroup", broken)
+    with pytest.raises(KeyError):
+        _run(["mul", "--semigroup", "nat", "1"])
+
+
 def test_lcm_counterexample_prints_both_minimal_multiples():
     code, out = _run(["lcm", "--semigroup", "ftheta:4,6", "x2.", ".y2"])
     assert (code, out) == (1, "incomparable x2.y0 x2.y3\n")

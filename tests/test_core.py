@@ -127,6 +127,30 @@ def test_incomparable_minimal_multiples_are_bounded_by_the_radius():
         BruteForcer(S, large, complements=large).right_lcm(p, q)
     assert [S.display(w) for w in got.value.witnesses] == ["x0.y0", "x0.y1"]
 
+
+def test_a_failing_shortest_candidate_falls_back_to_the_minimal_ones():
+    # zxz has units (k, ±1), so (0,6), (6,6) and (0,-6) all generate the
+    # least common multiple of (0,2) and (0,3); a length that puts the
+    # strict multiple (0,12) first makes the shortest candidate fail.
+    S = get_semigroup("zxz")
+    oracle = BruteForcer(S, enumerate_ball(S, 1))
+    p, q = (0, 2), (0, 3)
+    length = {(0, 12): 1, (0, 6): 2, (6, 6): 2, (0, -6): 2}
+    for common in itertools.permutations(length):
+        got = oracle._certify(p, q, common, length.__getitem__, 10)
+        assert got == Lcm((0, -6), (0, -3), (0, -2))
+    with pytest.raises(BallTooSmall, match="minimal common multiple "
+                       r"\(0,-6\) lies at the radius-3 boundary"):
+        oracle._certify(p, q, list(length), length.__getitem__, 3)
+    # Without the least one, the two minimal multiples are the answer,
+    # in whatever order the search found them.
+    length = {(0, 36): 1, (0, 18): 2, (0, 12): 2}
+    for common in itertools.permutations(length):
+        with pytest.raises(IncomparableMultiples) as got:
+            oracle._certify(p, q, common, length.__getitem__, 10)
+        assert got.value.witnesses == [(0, 12), (0, 18)]
+
+
 def _outcome(search, p, q):
     """A search's result, or its exception as comparable fields."""
     try:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,34 @@ def test_exact_mode_visits_only_the_prefixes_of_members():
     # A 5,000-letter member is walked without recursion.
     got = is_foundation_set(S, ["0" * 5000, "1"], "exact")
     assert got == FoundationVerdict(NOT_FOUNDATION, "0" * 4999 + "1")
+
+
+def _exact_peak(S, F):
+    """The exact verdict on F and the peak memory it took, in bytes."""
+    tracemalloc.start()
+    try:
+        got = is_foundation_set(S, F, "exact")
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_mode_memory_is_linear_in_the_members():
+    # 20 random members of 2,000 letters: 40,000 letters of input.
+    S = free_monoid(2)
+    rng = random.Random(5)
+    F = ["".join(rng.choices("01", k=2000)) for _ in range(20)]
+    got, peak = _exact_peak(S, F)
+    assert not got.ok and peak < 4 * 2**20
+    # Every branch off a 2,000-letter word, and the word: a foundation
+    # set that the walk must pass through member by member.
+    w = "".join(rng.choices("01", k=2000))
+    F = [w[:i] + "10"[int(w[i])] for i in range(len(w))] + [w]
+    got, peak = _exact_peak(S, F)
+    assert got.ok and peak < 4 * 2**20
+    # Without the branch at letter 1,000, its padding is the witness.
+    got = is_foundation_set(S, F[:1000] + F[1001:], "exact")
+    assert got.witness == F[1000].ljust(2000, "0")
 
 
 def test_exact_mode_rejects_non_free_targets():
