@@ -263,7 +263,7 @@ def _suite_table(name):
     yielding the suite's instances).  Its keys are the model's suite
     list, and no instance is computed before its thunk is called."""
     if name == "Q2" or name.startswith("BS1n:"):
-        d = 2 if name == "Q2" else int(name[5:])
+        d = 2 if name == "Q2" else catalog.ints(name, name[5:], "d")[0]
         if d < 2:
             raise UnknownModel(name)
         return _affine_suites(catalog.add_zs(d), [zoo.LETTERS[:d]], (1,))

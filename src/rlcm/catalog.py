@@ -138,7 +138,7 @@ def product_form(selector):
         return zxz_zs(), zoo.zxz_decompose, lambda e: zoo.frac_multiply(*e)
     if selector.startswith("bs:"):
         # alphas (k1, ..., kn) <-> the word of the b^k a letters LETTERS[k]
-        return (bs_zs(*_int_pair(selector[3:])),
+        return (bs_zs(*ints(selector, selector[3:], "c,d")),
                 lambda p: ("".join(map(zoo.LETTERS.__getitem__, p[0])), p[1]),
                 lambda e: (tuple(map(zoo.LETTERS.index, e[0])), e[1]))
     raise ValueError(f"{selector} has no product form")
@@ -241,18 +241,25 @@ EXAMPLE_ZS_NAMES = ("bs:1,2", "bs:2,3", "nxn", "zxz", "add:2", "add:3",
 
 def get_zs_descriptor(name):
     if name.startswith("bs:"):
-        c, d = _int_pair(name[3:])
-        return bs_zs(c, d)
+        return bs_zs(*ints(name, name[3:], "c,d"))
     if name == "nxn":
         return nxn_zs()
     if name == "zxz":
         return zxz_zs()
     if name.startswith("add:"):
-        return add_zs(int(name[4:]))
+        return add_zs(*ints(name, name[4:], "n"))
     if name.startswith("ftheta:"):
-        m, n = _int_pair(name[7:])
-        return ftheta_zs(m, n)
+        return ftheta_zs(*ints(name, name[7:], "m,n"))
     raise ValueError(f"unknown product descriptor {name!r}")
+
+
+def descriptor_of(selector):
+    """The product descriptor of a zs:<name> selector; malformed integers
+    are an error that names the whole selector, as typed."""
+    try:
+        return get_zs_descriptor(selector[3:])
+    except SelectorError as e:
+        raise SelectorError(selector, e.need) from None
 
 
 def get_semigroup(selector):
@@ -262,7 +269,7 @@ def get_semigroup(selector):
     ftheta:m,n.
     """
     if selector.startswith("free:"):
-        return zoo.free_monoid(int(selector[5:]))
+        return zoo.free_monoid(*ints(selector, selector[5:], "k"))
     if selector == "nat":
         return zoo.nat_add()
     if selector == "frac":
@@ -272,19 +279,34 @@ def get_semigroup(selector):
     if selector == "zxz":
         return zxz_semigroup()
     if selector.startswith("bs:"):
-        c, d = _int_pair(selector[3:])
-        return bs_semigroup(c, d)
+        return bs_semigroup(*ints(selector, selector[3:], "c,d"))
     if selector.startswith("zs:"):
-        return zs_semigroup(get_zs_descriptor(selector[3:]))
+        return zs_semigroup(descriptor_of(selector))
     if selector.startswith("ftheta:"):
-        m, n = _int_pair(selector[7:])
-        return ftheta_semigroup(m, n)
+        return ftheta_semigroup(*ints(selector, selector[7:], "m,n"))
     raise ValueError(f"unknown semigroup selector {selector!r}")
 
 
-def _int_pair(text):
-    a, _, b = text.partition(",")
-    return int(a), int(b)
+class SelectorError(ValueError):
+    """Text whose integers do not read: "<name> <need>", as "ftheta:2
+    needs two integers m,n"."""
+
+    def __init__(self, name, need):
+        super().__init__(f"{name} {need}")
+        self.need = need
+
+
+def ints(name, text, labels):
+    """The integers of the comma-separated `text`, one per label of
+    `labels` ("m,n" or "k"); otherwise a SelectorError naming `name`."""
+    parts, want = text.split(","), labels.split(",")
+    try:
+        if len(parts) == len(want):
+            return tuple(map(int, parts))
+    except ValueError:
+        pass
+    count = "an integer" if len(want) == 1 else "two integers"
+    raise SelectorError(name, f"needs {count} {labels}")
 
 
 #: Selectors whose ball(3) elements must round-trip through parse/display.

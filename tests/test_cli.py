@@ -1,6 +1,7 @@
 """The command-line front end: grammars, verbs, exit codes and
 deterministic reports."""
 
+import argparse
 import io
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rlcm import catalog
+from rlcm import catalog, cli
 from rlcm.catalog import REGISTERED_SELECTORS, get_semigroup
 from rlcm.cli import run
 from rlcm.core import enumerate_ball
@@ -234,6 +235,34 @@ def test_unknown_names_are_errors_that_name_them(monkeypatch):
         _run(["mul", "--semigroup", "nat", "1"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["survey-ftheta", "--semigroup", "ftheta:2,2", "--bidegree", "1"],
+     "--bidegree 1 needs two integers P,Q"),
+    (["survey-ftheta", "--semigroup", "ftheta:2,2", "--bidegree=x,1"],
+     "--bidegree x,1 needs two integers P,Q"),
+    (["survey-ftheta", "--semigroup", "ftheta:2"],
+     "ftheta:2 needs two integers m,n"),
+    (["mul", "--semigroup", "ftheta:2", "x0."],
+     "ftheta:2 needs two integers m,n"),
+    (["mul", "--semigroup", "zs:bs:1", "(1;0)"],
+     "zs:bs:1 needs two integers c,d"),
+    (["mul", "--semigroup", "bs:1,2,3", "a"],
+     "bs:1,2,3 needs two integers c,d"),
+    (["mul", "--semigroup", "free:x", "0"], "free:x needs an integer k"),
+    (["mul", "--semigroup", "zs:add:x", "(0;0)"],
+     "zs:add:x needs an integer n"),
+    (["check-axioms", "--semigroup", "zs:ftheta:2"],
+     "zs:ftheta:2 needs two integers m,n"),
+    (["check-relations", "--model", "BS1n:x"],
+     "BS1n:x needs an integer d"),
+])
+def test_a_malformed_integer_names_its_selector_or_flag(argv, message):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert _run(argv) == (2, "")
+    assert err.getvalue() == f"error: {message}\n"
+
+
 def test_lcm_counterexample_prints_both_minimal_multiples():
     code, out = _run(["lcm", "--semigroup", "ftheta:4,6", "x2.", ".y2"])
     assert (code, out) == (1, "incomparable x2.y0 x2.y3\n")
@@ -309,6 +338,14 @@ def test_normalize_builds_a_product_descriptor_once(monkeypatch):
     assert calls == ["nxn"]
 
 
+def _python(*args):
+    """A fresh interpreter on the package's sources."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_cli_start_up_does_not_load_numpy():
     # The CLI's right LCMs are exact; only the complement-mode oracle and
     # the operator tables of check-relations need numpy.
@@ -321,11 +358,81 @@ def test_cli_start_up_does_not_load_numpy():
         "                         '--radius', '1', 'x0.', 'x1.'])\n"
         "assert code == 0, code\n"
         "assert 'numpy' not in sys.modules, 'lcm'\n")
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60)
+    proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_builds_no_parser():
+    # Parsers are built by requests, not by the import, so start-up does
+    # not pay for them.
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import rlcm.cli\n"
+        "assert built == [], built\n")
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_each_verb_parser_is_the_whole_parsers_subparser():
+    whole = cli.build_parser()
+    (verbs,) = (a for a in whole._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert list(verbs.choices) == list(cli.VERBS)
+    for verb, sub in verbs.choices.items():
+        assert cli.verb_parser(verb).format_help() == sub.format_help()
+
+
+def test_a_request_builds_only_its_verbs_parser(monkeypatch):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    requests = (["mul", "--semigroup", "bs:2,3", "a*b", "b^2*a"],
+                ["normalize", "--semigroup", "nxn", "t(0,2)* t(1,2)"],
+                ["decompose", "--semi", "bs:2,3", "a*b^2"],
+                ["check-relations", "--model", "QN"],
+                ["survey-ftheta", "--semigroup=ftheta:2,3"])
+    for argv in requests:
+        assert _run(argv)[0] == 0, argv
+    assert builds == [f"rlcm {argv[0]}" for argv in requests]
+    # An argument the verb does not take goes to the whole parser, whose
+    # usage error is the one it always printed; the next request does not
+    # see it.
+    del builds[:]
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        _run(["mul", "--semigroup", "nat", "--radius", "2", "1"])
+    assert exc.value.code == 2
+    assert builds[:2] == ["rlcm mul", "rlcm"]
+    assert err.getvalue().endswith(
+        "rlcm: error: unrecognized arguments: --radius\n")
+    for argv in (["lcm", "--semigroup", "frac", "(1,2)", "(2,3)"],
+                 ["foundation", "--semigroup", "free:2", "--mode", "exact",
+                  "0", "1"]):
+        fresh = _python("-m", "rlcm.cli", *argv)
+        assert _run(argv) == (fresh.returncode, fresh.stdout), argv
+
+
+def test_every_request_reads_as_the_whole_parser_reads_it():
+    for argv in (["mul", "--semigroup", "nat", "1", "2"],
+                 ["lcm", "--semigroup=frac", "--radius", "5", "1", "2"],
+                 ["normalize", "--semi", "nxn", "v(1)"],
+                 ["check-axioms", "--semigroup", "zs:nxn", "--radius", "2"],
+                 ["check-relations", "--model", "QN", "--suite", "T1"],
+                 ["foundation", "--mode", "exact", "--", "-1", "2"],
+                 ["survey-ftheta", "--bidegree", "3,1"],
+                 ["decompose", "--semigroup", "zxz", "(1,2)"]):
+        assert cli.parse(argv) == cli.build_parser().parse_args(argv), argv
 
 
 def test_verbs_reject_flags_they_do_not_read():
