@@ -138,7 +138,7 @@ def product_form(selector):
         return zxz_zs(), zoo.zxz_decompose, lambda e: zoo.frac_multiply(*e)
     if selector.startswith("bs:"):
         # alphas (k1, ..., kn) <-> the word of the b^k a letters LETTERS[k]
-        return (bs_zs(*ints(selector, selector[3:], "c,d")),
+        return (bs_zs(*ints(selector, selector[3:], "c,d", least=1)),
                 lambda p: ("".join(map(zoo.LETTERS.__getitem__, p[0])), p[1]),
                 lambda e: (tuple(map(zoo.LETTERS.index, e[0])), e[1]))
     raise ValueError(f"{selector} has no product form")
@@ -241,25 +241,28 @@ EXAMPLE_ZS_NAMES = ("bs:1,2", "bs:2,3", "nxn", "zxz", "add:2", "add:3",
 
 def get_zs_descriptor(name):
     if name.startswith("bs:"):
-        return bs_zs(*ints(name, name[3:], "c,d"))
+        return bs_zs(*ints(name, name[3:], "c,d", least=1))
     if name == "nxn":
         return nxn_zs()
     if name == "zxz":
         return zxz_zs()
     if name.startswith("add:"):
-        return add_zs(*ints(name, name[4:], "n"))
+        return add_zs(*ints(name, name[4:], "n", least=1))
     if name.startswith("ftheta:"):
-        return ftheta_zs(*ints(name, name[7:], "m,n"))
-    raise ValueError(f"unknown product descriptor {name!r}")
+        return ftheta_zs(*ints(name, name[7:], "m,n", least=2))
+    raise UnknownName("product descriptor", name)
 
 
 def descriptor_of(selector):
-    """The product descriptor of a zs:<name> selector; malformed integers
-    are an error that names the whole selector, as typed."""
+    """The product descriptor of a zs:<name> selector; an unknown name and
+    malformed or out-of-range integers are errors that name the whole
+    selector, as typed."""
     try:
         return get_zs_descriptor(selector[3:])
     except SelectorError as e:
         raise SelectorError(selector, e.need) from None
+    except UnknownName:
+        raise UnknownName("semigroup selector", selector) from None
 
 
 def get_semigroup(selector):
@@ -269,7 +272,8 @@ def get_semigroup(selector):
     ftheta:m,n.
     """
     if selector.startswith("free:"):
-        return zoo.free_monoid(*ints(selector, selector[5:], "k"))
+        return zoo.free_monoid(*ints(selector, selector[5:], "k", least=1,
+                                         most=len(zoo.LETTERS)))
     if selector == "nat":
         return zoo.nat_add()
     if selector == "frac":
@@ -279,34 +283,50 @@ def get_semigroup(selector):
     if selector == "zxz":
         return zxz_semigroup()
     if selector.startswith("bs:"):
-        return bs_semigroup(*ints(selector, selector[3:], "c,d"))
+        return bs_semigroup(*ints(selector, selector[3:], "c,d", least=1))
     if selector.startswith("zs:"):
         return zs_semigroup(descriptor_of(selector))
     if selector.startswith("ftheta:"):
-        return ftheta_semigroup(*ints(selector, selector[7:], "m,n"))
-    raise ValueError(f"unknown semigroup selector {selector!r}")
+        return ftheta_semigroup(*ints(selector, selector[7:], "m,n",
+                                      least=2))
+    raise UnknownName("semigroup selector", selector)
+
+
+class UnknownName(ValueError):
+    """A name that no registry entry reads: "unknown <kind> '<name>'"."""
+
+    def __init__(self, kind, name):
+        super().__init__(f"unknown {kind} {name!r}")
 
 
 class SelectorError(ValueError):
-    """Text whose integers do not read: "<name> <need>", as "ftheta:2
-    needs two integers m,n"."""
+    """Text whose integers do not read or lie out of range: "<name>
+    <need>", as "ftheta:2 needs two integers m,n"."""
 
     def __init__(self, name, need):
         super().__init__(f"{name} {need}")
         self.need = need
 
 
-def ints(name, text, labels):
+def ints(name, text, labels, least=None, most=None):
     """The integers of the comma-separated `text`, one per label of
-    `labels` ("m,n" or "k"); otherwise a SelectorError naming `name`."""
+    `labels` ("m,n" or "k"), each at least `least` and at most `most`
+    where given; otherwise a SelectorError naming `name`."""
     parts, want = text.split(","), labels.split(",")
     try:
-        if len(parts) == len(want):
-            return tuple(map(int, parts))
+        got = tuple(map(int, parts)) if len(parts) == len(want) else None
     except ValueError:
-        pass
-    count = "an integer" if len(want) == 1 else "two integers"
-    raise SelectorError(name, f"needs {count} {labels}")
+        got = None
+    if got is None:
+        count = "an integer" if len(want) == 1 else "two integers"
+        raise SelectorError(name, f"needs {count} {labels}")
+    low = least is not None and min(got) < least
+    high = most is not None and max(got) > most
+    if low or high:
+        span = (f"{labels} >= {least}" if most is None
+                else f"{least} <= {labels} <= {most}")
+        raise SelectorError(name, f"needs {span}")
+    return got
 
 
 #: Selectors whose ball(3) elements must round-trip through parse/display.

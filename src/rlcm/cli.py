@@ -254,7 +254,7 @@ def _dispatch(ns):
         sel = _need(ns, "semigroup")
         if not sel.startswith("ftheta:"):
             raise ValueError("survey-ftheta needs an ftheta:m,n selector")
-        m, n = catalog.ints(sel, sel[7:], "m,n")
+        m, n = catalog.ints(sel, sel[7:], "m,n", least=2)
         box = catalog.ints(f"--bidegree {ns.bidegree}", ns.bidegree, "P,Q")
         verdict = ftheta_right_lcm_survey(theta_build(m, n), box)
         report = Report()

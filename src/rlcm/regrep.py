@@ -13,12 +13,14 @@ and comparison are single vectorized steps.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import DISJOINT, enumerate_ball
 from .report import Report
+from .star import VV, ZERO, word_normalize
 from .zs import zs_semigroup
 
 KILLED_CODE = -1
@@ -103,13 +105,23 @@ SUITES = ("Li", "covariance", "K")
 
 
 class RepContext:
-    """Cached tables, adjoints and range projections over one ball."""
+    """Cached tables, adjoints and range projections over one ball, and
+    the monomial maps, divisor rows and collapse LCMs of the word oracle.
+
+    Every cache lasts as long as the basis.  The monomial side never
+    reads the tables: `bwd` marks a quotient outside the ball escaped,
+    while a monomial multiplies that quotient by p, and the product may
+    land back in the ball.
+    """
 
     def __init__(self, S, basis):
         self.S = S
         self.basis = basis
         self._tables = {}
         self._projs = {}
+        self._monomials = {}
+        self._quotients = {}
+        self._collapsers = {}
 
     def table(self, p):
         T = self._tables.get(p)
@@ -131,6 +143,42 @@ class RepContext:
             m = op_compose(T.fwd, T.bwd)
             self._projs[p] = m
         return m
+
+    def quotients(self, q):
+        """The row [S.left_divide(q, w) for w in basis]."""
+        row = self._quotients.get(q)
+        if row is None:
+            divide = self.S.left_divide
+            row = [divide(q, w) for w in self.basis.elements]
+            self._quotients[q] = row
+        return row
+
+    def monomial(self, mono):
+        """The map of a monomial (or ZERO), evaluated by `monomial_op`
+        the first time it is asked for."""
+        out = self._monomials.get(mono)
+        if out is None:
+            row = None if mono is ZERO else self.quotients(mono.q)
+            out = monomial_op(self.S, mono, self.basis, row)
+            self._monomials[mono] = out
+        return out
+
+    def collapser(self, S):
+        """S with its right LCM answered from a cache of its own, keyed by
+        the pair, so a semigroup with another right LCM never reads these
+        answers."""
+        view = self._collapsers.get(S)
+        if view is None:
+            right_lcm, lcms = S.right_lcm, {}
+
+            def cached(p, q):
+                got = lcms.get((p, q))
+                if got is None:
+                    got = lcms[(p, q)] = right_lcm(p, q)
+                return got
+
+            view = self._collapsers[S] = replace(S, right_lcm=cached)
+        return view
 
 
 def verify_relations(D, radius=3, suite="Li"):
@@ -228,23 +276,19 @@ def _family(report, name, basis, display, instances):
 # ---------------------------------------------------------------------------
 # Differential cross-check against the monomial calculus.
 
-def monomial_op(S, mono, basis):
+def monomial_op(S, mono, basis, quotients=None):
     """The evaluation map of v_p v_q*: w is killed unless q divides it,
-    and then maps to p times the quotient."""
-    from .star import ZERO
-
-    n = len(basis)
-    out = op_zero(n)
-    if mono is ZERO:
-        return out
-    for i, w in enumerate(basis.elements):
-        s = S.left_divide(mono.q, w)
-        if s is None:
-            continue
-        img = S.multiply(mono.p, s)
-        j = basis.index.get(img)
-        out[i] = ESCAPED_CODE if j is None else j
-    return out
+    and then maps to p times the quotient.  `quotients`, if given, is
+    q's row of left quotients of the basis (`RepContext.quotients`)."""
+    out = [KILLED_CODE] * len(basis)
+    if mono is not ZERO:
+        if quotients is None:
+            quotients = [S.left_divide(mono.q, w) for w in basis.elements]
+        index = basis.index
+        for i, s in enumerate(quotients):
+            if s is not None:
+                out[i] = index.get(S.multiply(mono.p, s), ESCAPED_CODE)
+    return np.array(out, dtype=np.int64)
 
 
 def oracle_check_monomial(S, tokens, ctx):
@@ -252,10 +296,9 @@ def oracle_check_monomial(S, tokens, ctx):
     composition of the token tables, vector by vector.
 
     Tokens are (p, starred) pairs; returns (compared, escaped,
-    witness elements).
+    witness elements).  S collapses the word, with its right LCMs cached
+    in `ctx`; both operators are those of the context's semigroup.
     """
-    from .star import VV, word_normalize
-
     ops = []
     monos = []
     for p, starred in tokens:
@@ -263,7 +306,6 @@ def oracle_check_monomial(S, tokens, ctx):
         ops.append(T.bwd if starred else T.fwd)
         monos.append(VV(S.identity, p) if starred else VV(p, S.identity))
     word_map = op_word(ops)
-    mono = word_normalize(S, monos)
-    mono_map = monomial_op(S, mono, ctx.basis)
+    mono_map = ctx.monomial(word_normalize(ctx.collapser(S), monos))
     compared, escaped, bad = op_compare(ctx.basis, word_map, mono_map)
     return compared, escaped, [ctx.basis.elements[i] for i in bad]

@@ -412,18 +412,26 @@ def ftheta_right_lcm_survey(T, max_bidegree):
         words = [(xs, ys)
                  for xs in itertools.product(range(T.m), repeat=D[0])
                  for ys in itertools.product(range(T.n), repeat=D[1])]
-        prefixes = {t: {d: ftheta_factor(T, t, d)[0] for d in subs}
-                    for t in words}
+        # A join with D on one side buckets every word alone, as a word's
+        # prefix at D is itself, and (d2, d1) buckets as (d1, d2) did; so
+        # only the other joins are bucketed, and every join that holds no
+        # counterexample counts one pair per word.
+        fresh = []
         for d1, d2 in joins:
-            buckets = {}
-            for t in words:
-                key = (prefixes[t][d1], prefixes[t][d2])
-                buckets.setdefault(key, []).append(t)
-            checked += len(buckets)
-            for (w1, w2), ts in buckets.items():
-                if len(ts) >= 2:
-                    return SurveyVerdict(box=max_bidegree,
-                                         checked_pairs=checked,
-                                         pair=(w1, w2),
-                                         multiples=tuple(ts[:2]))
+            if D not in (d1, d2) and (d2, d1) not in fresh:
+                fresh.append((d1, d2))
+        prefixes = {d: [ftheta_factor(T, t, d)[0] for t in words]
+                    for d in set(itertools.chain(*fresh))}
+        for d1, d2 in joins:
+            if (d1, d2) in fresh:
+                buckets = {}
+                for t, key in zip(words, zip(prefixes[d1], prefixes[d2])):
+                    buckets.setdefault(key, []).append(t)
+                for (w1, w2), ts in buckets.items():
+                    if len(ts) >= 2:
+                        return SurveyVerdict(
+                            box=max_bidegree,
+                            checked_pairs=checked + len(buckets),
+                            pair=(w1, w2), multiples=tuple(ts[:2]))
+            checked += len(words)
     return SurveyVerdict(box=max_bidegree, checked_pairs=checked)

@@ -219,7 +219,7 @@ def test_unknown_names_are_errors_that_name_them(monkeypatch):
             (["mul", "--semigroup", "add:2", "0"],
              "unknown semigroup selector 'add:2'"),
             (["check-axioms", "--semigroup", "zs:add"],
-             "unknown product descriptor 'add'"),
+             "unknown semigroup selector 'zs:add'"),
             (["check-relations", "--model", "BS1n:1"],
              "unknown model 'BS1n:1'")):
         err = io.StringIO()
@@ -255,6 +255,20 @@ def test_unknown_names_are_errors_that_name_them(monkeypatch):
      "zs:ftheta:2 needs two integers m,n"),
     (["check-relations", "--model", "BS1n:x"],
      "BS1n:x needs an integer d"),
+    # Integers that read but lie out of range name the selector too.
+    (["mul", "--semigroup", "free:0", "0"], "free:0 needs 1 <= k <= 36"),
+    (["mul", "--semigroup", "free:37", "0"], "free:37 needs 1 <= k <= 36"),
+    (["mul", "--semigroup", "bs:0,2", "a"], "bs:0,2 needs c,d >= 1"),
+    (["mul", "--semigroup", "zs:bs:0,2", "(1;0)"],
+     "zs:bs:0,2 needs c,d >= 1"),
+    (["mul", "--semigroup", "zs:add:0", "(0;0)"], "zs:add:0 needs n >= 1"),
+    (["mul", "--semigroup", "ftheta:1,2", "x0."],
+     "ftheta:1,2 needs m,n >= 2"),
+    (["mul", "--semigroup", "zs:ftheta:1,2", "(x0. ; 0)"],
+     "zs:ftheta:1,2 needs m,n >= 2"),
+    (["survey-ftheta", "--semigroup", "ftheta:1,3"],
+     "ftheta:1,3 needs m,n >= 2"),
+    (["decompose", "--semigroup", "bs:2,0", "a"], "bs:2,0 needs c,d >= 1"),
 ])
 def test_a_malformed_integer_names_its_selector_or_flag(argv, message):
     err = io.StringIO()

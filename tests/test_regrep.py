@@ -1,22 +1,52 @@
 """Partial-injection tables over finite balls and the relation suites of
 the product presentations."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from rlcm import regrep
 from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup, get_zs_descriptor
-from rlcm.core import enumerate_ball
+from rlcm.core import DISJOINT, Lcm, enumerate_ball
 from rlcm.regrep import (ESCAPED_CODE, KILLED_CODE, RepContext,
                          monomial_op, op_compare, op_compose, op_identity,
                          op_word, op_zero, oracle_check_monomial,
                          rep_generator, verify_relations)
-from rlcm.star import VV
+from rlcm.star import VV, ZERO, word_normalize
 from rlcm.zoo import free_monoid
+from rlcm.zs import zs_semigroup
 
 
 def _ctx(S, radius):
     return RepContext(S, enumerate_ball(S, radius))
+
+
+def _wrong_lcm(S):
+    """S's right LCM, padded by a letter wherever it is not trivial."""
+    def wrong_lcm(p, q):
+        got = S.right_lcm(p, q)
+        if got is DISJOINT or got.lcm == "":
+            return got
+        return Lcm(got.lcm + "0", got.p_comp + "0", got.q_comp + "0")
+
+    return replace(S, right_lcm=wrong_lcm)
+
+
+def _seeded_words(basis, count, seed):
+    """Token words of one to four tokens over the non-identity elements
+    of `basis`, so that words repeat their monomials and LCM pairs."""
+    rng = random.Random(seed)
+    pool = [(p, starred) for p in basis.elements[1:]
+            for starred in (False, True)]
+    return [[rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            for _ in range(count)]
 
 
 def test_generator_table_multiplies_on_the_left():
@@ -124,18 +154,107 @@ def test_oracle_check_agrees_on_sample_words():
 def test_oracle_check_detects_a_wrong_lcm():
     S = free_monoid(2)
     ctx = _ctx(S, 3)
-
-    def wrong_lcm(p, q):
-        got = S.right_lcm(p, q)
-        from rlcm.core import DISJOINT, Lcm
-        if got is DISJOINT or got.lcm == "":
-            return got
-        return Lcm(got.lcm + "0", got.p_comp + "0", got.q_comp + "0")
-
     tokens = [("0", True), ("01", False)]
-    _, _, bad = oracle_check_monomial(replace(S, right_lcm=wrong_lcm),
-                                      tokens, ctx)
+    _, _, bad = oracle_check_monomial(_wrong_lcm(S), tokens, ctx)
     assert bad
+
+
+def test_the_monomial_map_never_reads_the_tables():
+    # On zxz, (1,1) divides (0,1) with quotient (-1,1), which lies outside
+    # the radius-2 ball: the range projection's table escapes there, but
+    # the monomial multiplies the quotient back into the ball.
+    S = get_semigroup("zxz")
+    ctx = _ctx(S, 2)
+    i = ctx.basis.index[(0, 1)]
+    assert (-1, 1) not in ctx.basis.index
+    assert ctx.proj((1, 1))[i] == ESCAPED_CODE
+    assert ctx.monomial(VV((1, 1), (1, 1)))[i] == i
+    assert list(ctx.monomial(ZERO)) == list(op_zero(len(ctx.basis)))
+
+
+@pytest.mark.parametrize("name", EXAMPLE_ZS_NAMES)
+def test_a_shared_context_checks_each_word_as_a_fresh_one(name):
+    P = zs_semigroup(get_zs_descriptor(name))
+    basis = enumerate_ball(P, 2)
+    shared = RepContext(P, basis)
+    for word in _seeded_words(basis, 40, seed=1):
+        assert (oracle_check_monomial(P, word, shared)
+                == oracle_check_monomial(P, word, RepContext(P, basis))), word
+
+
+def test_a_context_evaluates_each_monomial_once(monkeypatch):
+    P = zs_semigroup(get_zs_descriptor("bs:1,2"))
+    ctx = _ctx(P, 2)
+    words = _seeded_words(ctx.basis, 200, seed=2)
+    evaluated = []
+
+    def counted(S, mono, basis, quotients=None):
+        evaluated.append(mono)
+        return monomial_op(S, mono, basis, quotients)
+
+    monkeypatch.setattr(regrep, "monomial_op", counted)
+    for word in words:
+        oracle_check_monomial(P, word, ctx)
+    monos = [word_normalize(P, [VV(P.identity, p) if starred
+                                else VV(p, P.identity) for p, starred in w])
+             for w in words]
+    assert sorted(map(repr, evaluated)) == sorted(map(repr, set(monos)))
+    assert len(evaluated) < len(words)
+
+
+def test_a_filled_context_still_catches_a_wrong_lcm():
+    S = free_monoid(2)
+    ctx = _ctx(S, 3)
+    tokens = [("0", True), ("01", False)]
+    for word in [tokens, *_seeded_words(ctx.basis, 100, seed=3)]:
+        assert oracle_check_monomial(S, word, ctx)[2] == []
+    assert oracle_check_monomial(_wrong_lcm(S), tokens, ctx)[2]
+    # The mutant's answers stay out of the correct semigroup's cache.
+    assert oracle_check_monomial(S, tokens, ctx)[2] == []
+
+
+def test_the_word_oracle_gives_the_same_results_under_python_O():
+    # `python -O` strips assert statements; the oracle must not need them.
+    script = textwrap.dedent("""
+        import random
+        from dataclasses import replace
+        from rlcm.catalog import EXAMPLE_ZS_NAMES, get_zs_descriptor
+        from rlcm.core import DISJOINT, Lcm, enumerate_ball
+        from rlcm.regrep import RepContext, oracle_check_monomial
+        from rlcm.zoo import free_monoid
+        from rlcm.zs import zs_semigroup
+        rng = random.Random(4)
+        for name in EXAMPLE_ZS_NAMES:
+            P = zs_semigroup(get_zs_descriptor(name))
+            basis = enumerate_ball(P, 2)
+            ctx = RepContext(P, basis)
+            pool = [(p, s) for p in basis.elements[1:] for s in (0, 1)]
+            for _ in range(20):
+                word = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+                print(name, oracle_check_monomial(P, word, ctx))
+        S = free_monoid(2)
+        ctx = RepContext(S, enumerate_ball(S, 3))
+        tokens = [("0", True), ("01", False)]
+        def wrong_lcm(p, q):
+            got = S.right_lcm(p, q)
+            if got is DISJOINT or got.lcm == "":
+                return got
+            return Lcm(got.lcm + "0", got.p_comp + "0", got.q_comp + "0")
+        for T in (S, replace(S, right_lcm=wrong_lcm), S):
+            print("free:2", oracle_check_monomial(T, tokens, ctx))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-c", script],
+                       env={**os.environ, "PYTHONPATH": path},
+                       capture_output=True, text=True, check=True,
+                       timeout=120).stdout.splitlines()
+        for flags in ((), ("-O",)))
+    assert plain == optimized
+    assert len(plain) == 20 * len(EXAMPLE_ZS_NAMES) + 3
+    assert [line.endswith(", [])") for line in plain[-3:]] == [
+        True, False, True]
 
 
 def test_projection_operator_is_range_projection():

@@ -365,6 +365,23 @@ def test_survey_finds_counterexamples_iff_not_coprime():
         assert verdict.ok
 
 
+@pytest.mark.parametrize("m, n, box, checked", [
+    (3, 5, (3, 2), 34404), (2, 3, (4, 3), 55388), (3, 4, (3, 3), 132004),
+    (2, 5, (5, 2), 81639)])
+def test_survey_certificates_keep_their_counts(m, n, box, checked):
+    verdict = ftheta_right_lcm_survey(theta_build(m, n), box)
+    assert verdict.ok and verdict.checked_pairs == checked
+
+
+@pytest.mark.parametrize("m, n, checked, other", [
+    (2, 2, 39, 1), (2, 4, 111, 2), (4, 6, 247, 3)])
+def test_survey_counterexamples_keep_their_witnesses(m, n, checked, other):
+    verdict = ftheta_right_lcm_survey(theta_build(m, n), (2, 2))
+    assert verdict.checked_pairs == checked
+    assert verdict.pair == (((), (0,)), ((0,), ()))
+    assert verdict.multiples == (((0,), (0,)), ((0,), (other,)))
+
+
 def test_known_minimal_pair_in_the_4_6_monoid():
     T = theta_build(4, 6)
     x2 = ftheta_parse(T, "x2.")
