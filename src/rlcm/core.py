@@ -36,7 +36,7 @@ class IncomparableMultiples(Exception):
         super().__init__(f"incomparable common multiples of {p!r} and {q!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lcm:
     """A right LCM `lcm` with complements: p * p_comp == q * q_comp == lcm."""
 
@@ -95,15 +95,14 @@ class Ball:
         self.radius = radius
         self.lengths = lengths
         self.elements = tuple(lengths)
+        # The dict's own lookup: the oracle reads a length per multiple.
+        self.length = lengths.__getitem__
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
         return len(self.elements)
-
-    def length(self, x):
-        return self.lengths[x]
 
     @functools.cached_property
     def index(self):
@@ -156,6 +155,14 @@ class BruteForcer:
     small int id, and each map p*T is kept as two numpy arrays: the
     sorted ids and the minimal length of t for each; a pair's common
     multiples are the intersection of two id arrays.
+
+    In both modes one pair cache holds each searched outcome for (p, q)
+    together with its restatement for (q, p), so a pair asked in both
+    orders is searched once.  It never holds a comparable pair, which
+    complement mode answers without a search: with units, p and q may
+    each divide the other, and the answer for (q, p) names p, not q.
+    Nor does it hold a ball-mode `BallTooSmall`, whose text can name p
+    and q in the order asked.
     """
 
     def __init__(self, S, ball, complements=None):
@@ -205,30 +212,6 @@ class BruteForcer:
             self._mult_maps[p] = cached
         return cached
 
-    def _right_lcm_complements(self, p, q):
-        S = self.S
-        # Comparable pairs need no search: if q == p*d then q itself is the
-        # right LCM of p and q (every common multiple is a multiple of q).
-        d = S.left_divide(p, q)
-        if d is not None:
-            return Lcm(q, d, S.identity)
-        d = S.left_divide(q, p)
-        if d is not None:
-            return Lcm(p, S.identity, d)
-        result = self._pair_cache.get((p, q))
-        if result is None:
-            try:
-                result = self._search_complements(p, q)
-            except (BallTooSmall, IncomparableMultiples) as e:
-                result = e
-            self._pair_cache[(p, q)] = result
-            self._pair_cache[(q, p)] = _reversed(result)
-        if isinstance(result, Exception):
-            # A fresh traceback each time: the cached one would hold the
-            # search's frames and grow with every re-raise.
-            raise result.with_traceback(None)
-        return result
-
     def _search_complements(self, p, q):
         import numpy as np
         (ip, lp), (iq, lq) = self._mult_map(p), self._mult_map(q)
@@ -250,40 +233,98 @@ class BruteForcer:
         A certified LCM must left-divide every multiple in `common`, and
         its `length` must stay clear of the `radius` boundary.  The
         shortest candidate is checked first and is the LCM in practice;
-        only when it fails are the minimal multiples found, in one pass,
-        and the first of them, shortest-first, must divide the others.
+        only when it fails are the minimal multiples found (`_minimal`).
         """
         S = self.S
         shortest = min(map(length, common))
-        minimal = [min((m for m in common if length(m) == shortest),
-                       key=S.display)]
-        if not all(S.left_divide(minimal[0], t) is not None for t in common):
-            minimal = []  # the minimal multiples among those seen so far
-            for t in common:
-                below = next((k for k in minimal
-                              if S.left_divide(k, t) is not None), None)
-                if below is None:  # t is minimal so far: drop those above it
-                    minimal = [k for k in minimal
-                               if S.left_divide(t, k) is None] + [t]
-                elif S.left_divide(t, below) is not None:  # a unit translate
-                    minimal.append(t)
-            minimal.sort(key=lambda t: (length(t), S.display(t)))
-        m = minimal[0]
-        if all(S.left_divide(m, t) is not None for t in minimal[1:]):
-            if length(m) >= radius - 1:
-                raise BallTooSmall(
-                    f"{S.name}: minimal common multiple {S.display(m)} "
-                    f"lies at the radius-{radius} boundary")
-            return Lcm(m, S.left_divide(p, m), S.left_divide(q, m))
-        if any(length(m) >= radius - 1 for m in minimal):
+        m = min([t for t in common if length(t) == shortest], key=S.display)
+        # `is None`, not truthiness: identity quotients (0, "", ((), ()))
+        # are falsy.
+        if None in map(functools.partial(S.left_divide, m), common):
+            minimal = self._minimal(common, length)
+            m = minimal[0]
+            if len(minimal) > 1:
+                if any(length(k) >= radius - 1 for k in minimal):
+                    raise BallTooSmall(
+                        f"{S.name}: incomparable candidates near the "
+                        f"radius-{radius} boundary for {S.display(p)}, "
+                        f"{S.display(q)}")
+                raise IncomparableMultiples(p, q, minimal[:2])
+        if length(m) >= radius - 1:
             raise BallTooSmall(
-                f"{S.name}: incomparable candidates near the radius-{radius} "
-                f"boundary for {S.display(p)}, {S.display(q)}")
-        raise IncomparableMultiples(p, q, minimal[:2])
+                f"{S.name}: minimal common multiple {S.display(m)} "
+                f"lies at the radius-{radius} boundary")
+        return Lcm(m, S.left_divide(p, m), S.left_divide(q, m))
+
+    def _minimal(self, common, length):
+        """The minimal multiples in `common`, shortest first; only the
+        first of them when it left-divides all of `common`.
+
+        One pass, shortest first, keeps the first multiple of each unit
+        class that is minimal so far; a later unit translate finds it
+        below and is passed over.  Every multiple not kept records one
+        found below it, so the unit translates of the minimal ones, which
+        only a pair without an LCM reports, cost one division each at
+        the end.
+        """
+        S = self.S
+        div = S.left_divide
+        order = sorted(common, key=lambda t: (length(t), S.display(t)))
+        kept, under = [], {}
+        for t in order:
+            below = next((k for k in kept if div(k, t) is not None), None)
+            if below is not None:
+                under[t] = below
+                continue
+            for k in kept:  # t replaces those above it
+                if div(t, k) is not None:
+                    under[k] = t
+            kept = [k for k in kept if k not in under] + [t]
+        if len(kept) == 1:
+            return kept
+
+        def root(t):
+            while t in under:
+                t = under[t]
+            return t
+
+        return [t for t in order
+                if t not in under or div(t, root(t)) is not None]
 
     def right_lcm(self, p, q):
-        if self.complements is not None:
-            return self._right_lcm_complements(p, q)
+        """The oracle's right LCM of p and q; see the class docstring."""
+        result = self._pair_cache.get((p, q))
+        if result is None:
+            if self.complements is None:
+                search = self._search_ball
+            else:
+                # Comparable pairs need no search: if q == p*d then q is the
+                # right LCM of p and q (every common multiple is one of q).
+                S = self.S
+                d = S.left_divide(p, q)
+                if d is not None:
+                    return Lcm(q, d, S.identity)
+                d = S.left_divide(q, p)
+                if d is not None:
+                    return Lcm(p, S.identity, d)
+                search = self._search_complements
+            try:
+                result = search(p, q)
+            except IncomparableMultiples as e:
+                result = e
+            except BallTooSmall as e:
+                if self.complements is None:
+                    raise  # its text names p and q in the order asked
+                result = e
+            self._pair_cache[(p, q)] = result
+            self._pair_cache[(q, p)] = _reversed(result)
+        if isinstance(result, Exception):
+            # A fresh traceback each time: the cached one would hold the
+            # search's frames and grow with every re-raise.
+            raise result.with_traceback(None)
+        return result
+
+    def _search_ball(self, p, q):
         common = self.multiples_in_ball(p) & self.multiples_in_ball(q)
         if not common:
             return DISJOINT

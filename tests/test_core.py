@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup
 from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer,
-                       IncomparableMultiples, Lcm,
+                       IncomparableMultiples, Lcm, ball_from_elements,
                        check_cancellativity_and_lcm, enumerate_ball,
                        lcm_equal_up_to_units)
 from rlcm.report import Report
@@ -158,7 +158,7 @@ def _outcome(search, p, q):
     except BallTooSmall as e:
         return ("BallTooSmall", str(e))
     except IncomparableMultiples as e:
-        return ("IncomparableMultiples", e.p, e.q, e.witnesses)
+        return ("IncomparableMultiples", e.p, e.q, e.witnesses, str(e))
 
 
 def _reference_search(oracle):
@@ -281,9 +281,78 @@ def test_pair_cache_answers_repeats_and_reversals_without_searching():
             reverse = Lcm(first.lcm, first.q_comp, first.p_comp)
         else:
             assert first[0] == "IncomparableMultiples"
-            reverse = (first[0], q, p, first[3])
+            reverse = (first[0], q, p, first[3],
+                       str(IncomparableMultiples(q, p, first[3])))
         assert _outcome(oracle.right_lcm, q, p) == reverse
         assert searches == [(p, q)]
+
+
+def _frac_ball_oracle():
+    """frac's elements of modulus <= 6 in the explicit ball of moduli
+    <= 36, which holds all their common multiples."""
+    S = get_semigroup("frac")
+    ball = ball_from_elements([(t, z) for z in range(1, 37) for t in range(z)],
+                              lambda e: e[1])
+    return [(r, x) for x in range(1, 7) for r in range(x)], BruteForcer(S, ball)
+
+
+def _ball_oracle(selector, radius, ball_radius):
+    S = get_semigroup(selector)
+    return (list(enumerate_ball(S, radius)),
+            BruteForcer(S, enumerate_ball(S, ball_radius)))
+
+
+def _complement_case(selector):
+    oracle = _complement_oracle(selector)
+    return list(oracle.ball), oracle
+
+
+def _boundary_texts(outcomes, text):
+    return sum(1 for got in outcomes.values()
+               if isinstance(got, tuple) and got[0] == "BallTooSmall"
+               and text in got[1])
+
+
+def _unit_translates(S, outcomes):
+    return [(p, q) for p, q in outcomes if p != q
+            and S.left_divide(p, q) is not None
+            and S.left_divide(q, p) is not None]
+
+
+@pytest.mark.parametrize("make, covers", [
+    (_frac_ball_oracle,
+     lambda S, got: {Lcm, type(DISJOINT)} <= set(map(type, got.values()))),
+    (lambda: _ball_oracle("zxz", 2, 3),
+     lambda S, got: _boundary_texts(got, "minimal common multiple") == 131),
+    (lambda: _ball_oracle("ftheta:2,2", 2, 3),
+     lambda S, got: _boundary_texts(got, "incomparable candidates") > 0),
+    (lambda: _complement_case("zs:zxz"),
+     lambda S, got: _unit_translates(S, got)),
+], ids=["frac-ball", "zxz-ball", "ftheta:2,2-ball", "zs:zxz-complements"])
+def test_the_pair_cache_answers_as_a_search_of_the_pair_alone(make, covers):
+    # Ball mode must not keep a BallTooSmall, whose text names the pair in
+    # the order asked; complement mode must not keep a comparable pair,
+    # which with units divides both ways and names the other element.
+    elems, oracle = make()
+    _, alone = make()
+    S = oracle.S
+    want = {}
+    for p, q in itertools.product(elems, repeat=2):
+        alone._pair_cache.clear()  # nothing else it keeps depends on pairs
+        want[p, q] = _outcome(alone.right_lcm, p, q)
+    assert covers(S, want)
+    for _ in range(2):
+        for p, q in _interleaved_pairs(elems):
+            assert _outcome(oracle.right_lcm, p, q) == want[p, q], (
+                S.display(p), S.display(q))
+
+
+def test_lcm_records_are_frozen_hashable_values():
+    a, b = Lcm((0, 6), (0, 3), (0, 2)), Lcm((0, 6), (0, 3), (0, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.lcm = (0, 12)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Lcm((0, 6), (0, 2), (0, 3))
 
 
 def test_lcm_record_complements_multiply_back():

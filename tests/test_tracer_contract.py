@@ -152,3 +152,22 @@ def test_oracle_counters_count_maps_and_searches(traced_package):
     assert tracer.missing == []
     assert len(tracer.mult_map_keys) == len(set().union(*searched))
     assert tracer.counters["core.brute.searches"] == len(searched)
+
+
+@pytest.mark.parametrize("name", catalog.EXAMPLE_ZS_NAMES)
+def test_product_operations_are_one_span_each(traced_package, name):
+    # A product built after the tracer installs reaches the wrapped module
+    # functions, so each of its operations is one span of its layer.
+    rl, tracer = traced_package
+    P = rl.zs.zs_semigroup(rl.catalog.get_zs_descriptor(name))
+    p, q = P.generators[0], P.generators[-1]
+    pq = P.multiply(p, q)
+    spans = ("zs.multiply", "zs.left_divide", "zs.right_lcm")
+    counts = []
+    tracer.recording = True
+    for op, args in ((P.multiply, (p, q)), (P.left_divide, (p, pq)),
+                     (P.right_lcm, (p, q))):
+        op(*args)
+        counts.append([tracer.calls_of(s) for s in spans])
+    tracer.recording = False
+    assert counts == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
