@@ -166,7 +166,7 @@ def nxn_semigroup():
         identity=(0, 1),
         multiply=zoo.frac_multiply,
         generators=((1, 1), (0, 2), (0, 3)),
-        display=lambda p: f"({p[0]},{p[1]})",
+        display=zoo.pair_display,
         is_unit=lambda p: p == (0, 1),
         left_divide=zoo.frac_left_divide,
         right_lcm=_right_lcm(*product_form("nxn")),
@@ -192,7 +192,7 @@ def zxz_semigroup():
         identity=(0, 1),
         multiply=zoo.frac_multiply,
         generators=((1, 1), (0, -1), (0, 2), (0, 3)),
-        display=lambda p: f"({p[0]},{p[1]})",
+        display=zoo.pair_display,
         is_unit=lambda p: p[1] in (1, -1),
         left_divide=left_divide,
         right_lcm=_right_lcm(*product_form("zxz")),

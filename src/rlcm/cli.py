@@ -275,7 +275,7 @@ def _dispatch(ns):
         D, split, _join = catalog.product_form(sel)
         u, a = split(p)
         # The shift k of N x| Nx shows as the affine map (k,1).
-        shown = f"({a},1)" if sel == "nxn" else D.A.display(a)
+        shown = zoo.pair_display((a, 1)) if sel == "nxn" else D.A.display(a)
         print(f"{D.U.display(u)} ; {shown}")
         return 0
 

@@ -156,6 +156,16 @@ class BruteForcer:
     sorted ids and the minimal length of t for each; a pair's common
     multiples are the intersection of two id arrays.
 
+    Complement mode also keeps a divisibility memo: for each candidate
+    LCM m, by id, the sorted ids of the multiples that m has been seen
+    to left-divide.  A certificate divides m only into the common
+    multiples not yet recorded under m, and records them once every one
+    of its divisions has succeeded.  The memo holds only divisions that
+    were made; it never infers m | c from t_m | t_c or by transitivity,
+    which would assume the cancellativity and associativity that the
+    oracle exists to check.  Ball mode keeps no memo: its common sets
+    are small, and array work per pair would cost more than it saves.
+
     In both modes one pair cache holds each searched outcome for (p, q)
     together with its restatement for (q, p), so a pair asked in both
     orders is searched once.  It never holds a comparable pair, which
@@ -172,6 +182,7 @@ class BruteForcer:
         self._multiples = {}
         self._mult_maps = {}
         self._pair_cache = {}
+        self._divides = {}  # candidate id -> sorted ids it left-divides
         self._ids = {}      # interned product -> id
         self._elems = []    # id -> interned product
         if complements is not None:
@@ -220,27 +231,50 @@ class BruteForcer:
         hit = iq[at] == ip
         if not hit.any():
             return DISJOINT
+        ids = ip[hit]
         lengths = np.maximum(lp[hit], lq[at[hit]])
-        elems = self._elems
-        common = {elems[i]: n
-                  for i, n in zip(ip[hit].tolist(), lengths.tolist())}
-        return self._certify(p, q, common, common.__getitem__,
-                             self.complements.radius)
+        shortest = int(lengths.min())
+        elems, display = self._elems, self.S.display
+        im = min(ids[lengths == shortest].tolist(),
+                 key=lambda i: display(elems[i]))
+        known = self._divides.get(im)
+        fresh = ids
+        if known is not None:
+            at = np.minimum(np.searchsorted(known, ids), len(known) - 1)
+            fresh = ids[known[at] != ids]
 
-    def _certify(self, p, q, common, length, radius):
+        def proved():
+            if known is None:
+                self._divides[im] = fresh
+            elif len(fresh):
+                merged = np.concatenate((known, fresh))
+                merged.sort()
+                self._divides[im] = merged
+
+        return self._certify(
+            p, q, elems[im], shortest, map(elems.__getitem__, fresh.tolist()),
+            lambda: dict(zip(map(elems.__getitem__, ids.tolist()),
+                             lengths.tolist())),
+            self.complements.radius, proved)
+
+    def _certify(self, p, q, m, shortest, todo, common, radius,
+                 proved=None):
         """The right LCM of p and q from their searched common multiples.
 
-        A certified LCM must left-divide every multiple in `common`, and
-        its `length` must stay clear of the `radius` boundary.  The
-        shortest candidate is checked first and is the LCM in practice;
-        only when it fails are the minimal multiples found (`_minimal`).
+        The candidate `m` is the display-least common multiple of the
+        `shortest` length, and is the LCM in practice: it is one if it
+        left-divides every multiple in `todo`, those it is not yet known
+        to divide, and then `proved()` is told so.  Only when it fails
+        is `common()`, every common multiple with its length, built and
+        its minimal multiples found (`_minimal`).  A certified LCM must
+        stay clear of the `radius` boundary.
         """
         S = self.S
-        shortest = min(map(length, common))
-        m = min([t for t in common if length(t) == shortest], key=S.display)
         # `is None`, not truthiness: identity quotients (0, "", ((), ()))
         # are falsy.
-        if None in map(functools.partial(S.left_divide, m), common):
+        if None in map(functools.partial(S.left_divide, m), todo):
+            common = common()
+            length = common.__getitem__
             minimal = self._minimal(common, length)
             m = minimal[0]
             if len(minimal) > 1:
@@ -250,7 +284,10 @@ class BruteForcer:
                         f"radius-{radius} boundary for {S.display(p)}, "
                         f"{S.display(q)}")
                 raise IncomparableMultiples(p, q, minimal[:2])
-        if length(m) >= radius - 1:
+            shortest = length(m)
+        elif proved is not None:
+            proved()
+        if shortest >= radius - 1:
             raise BallTooSmall(
                 f"{S.name}: minimal common multiple {S.display(m)} "
                 f"lies at the radius-{radius} boundary")
@@ -328,7 +365,13 @@ class BruteForcer:
         common = self.multiples_in_ball(p) & self.multiples_in_ball(q)
         if not common:
             return DISJOINT
-        return self._certify(p, q, common, self.ball.length, self.ball.radius)
+        length = self.ball.length
+        shortest = min(map(length, common))
+        m = min([t for t in common if length(t) == shortest],
+                key=self.S.display)
+        return self._certify(p, q, m, shortest, common,
+                             lambda: {t: length(t) for t in common},
+                             self.ball.radius)
 
 
 def _reversed(result):
@@ -348,6 +391,13 @@ def lcm_equal_up_to_units(S, r, s):
     return u is not None and v is not None and S.is_unit(u) and S.is_unit(v)
 
 
+def complements_hold(S, p, q, got):
+    """True iff the Lcm `got` of p and q has p * p_comp == lcm ==
+    q * q_comp."""
+    return (S.multiply(p, got.p_comp) == got.lcm
+            and S.multiply(q, got.q_comp) == got.lcm)
+
+
 def check_cancellativity_and_lcm(S, ball, lcm_complements=None):
     """Exhaustive in-ball audit of the descriptor's monoid laws.
 
@@ -356,7 +406,8 @@ def check_cancellativity_and_lcm(S, ball, lcm_complements=None):
     the brute-force oracle on every in-ball pair whose brute search can
     be certified (BallTooSmall pairs are reported as skipped, never as
     passes).  The two agree when both find no common multiple, both find
-    LCMs equal up to units, or both raise IncomparableMultiples.
+    LCMs equal up to units, or both raise IncomparableMultiples; a
+    closed-form LCM must also multiply back from its complements.
     """
     report = Report()
     elems = ball.elements
@@ -404,6 +455,8 @@ def check_cancellativity_and_lcm(S, ball, lcm_complements=None):
             same = lcm_equal_up_to_units(S, closed.lcm, oracle.lcm)
         else:
             same = oracle is closed
+        if isinstance(closed, Lcm):
+            same = same and complements_hold(S, p, q, closed)
         if not same:
             mismatches.append(f"({disp(p)},{disp(q)})")
     report.add("lcm-vs-brute", n * n - skipped, mismatches, escaped=skipped)

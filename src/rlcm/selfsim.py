@@ -21,7 +21,7 @@ from typing import Optional
 
 from .core import DISJOINT, IncomparableMultiples, Lcm, Semigroup
 from .report import Report
-from .zoo import LETTERS, frac_right_lcm
+from .zoo import LETTERS, frac_right_lcm, read_int
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def _parse_letters(part, kind, bound):
         m = re.match(kind + "(0|[1-9][0-9]*)", rest)
         if m is None:
             raise ValueError(f"bad {kind}-letter near {rest!r}")
-        idx = int(m.group(1))
+        idx = read_int(m.group(1))
         if idx >= bound:
             raise ValueError(f"letter {kind}{idx} out of range (< {bound})")
         out.append(idx)

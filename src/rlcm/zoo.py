@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 from .core import DISJOINT, Lcm, Semigroup
 
@@ -21,6 +22,60 @@ class ParseError(ValueError):
     def __init__(self, message, position=0):
         self.position = position
         super().__init__(f"{message} (at position {position})")
+
+
+class DigitLimit(ValueError):
+    """An integer with more decimal digits than Python converts between
+    int and str (`sys.get_int_max_str_digits()`); a parse quotes the
+    start of its text."""
+
+    def __init__(self, digits, text=None):
+        quoted = "" if text is None else f": {text[:20] + '…'!r}"
+        super().__init__(
+            f"integer of {digits} digits is past the limit of "
+            f"{sys.get_int_max_str_digits()} digits "
+            f"(sys.get_int_max_str_digits()){quoted}")
+
+
+_INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
+
+
+def read_int(text):
+    """int(text); an integer literal that Python refuses for its length
+    raises DigitLimit."""
+    try:
+        return int(text)
+    except ValueError:
+        if _INTEGER_RE.fullmatch(text):
+            raise DigitLimit(sum(map(str.isdecimal, text)), text) from None
+        raise
+
+
+def digit_count(n):
+    """The number of decimal digits of the integer n, found without
+    writing it out."""
+    n = abs(n)
+    d = max(1, int((n.bit_length() - 1) * 0.30102999566398))
+    while n >= 10 ** d:
+        d += 1
+    return d
+
+
+def int_display(n):
+    """str(n); an integer too long for Python to write raises
+    DigitLimit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DigitLimit(digit_count(n)) from None
+
+
+def pair_display(p):
+    """A pair of integers as "(m,a)"; see `int_display`."""
+    try:
+        return f"({p[0]},{p[1]})"
+    except ValueError:
+        raise DigitLimit(max(map(digit_count, p))) from None
 
 
 EPSILON = "ε"
@@ -76,7 +131,9 @@ def free_monoid(k):
 
 def _parse_int(text):
     try:
-        return int(text)
+        return read_int(text)
+    except DigitLimit:
+        raise
     except ValueError:
         raise ParseError(f"expected an integer, got {text!r}") from None
 
@@ -88,7 +145,7 @@ def nat_add():
         identity=0,
         multiply=lambda p, q: p + q,
         generators=(1,),
-        display=str,
+        display=int_display,
         is_unit=lambda p: p == 0,
         left_divide=lambda p, r: r - p if r >= p else None,
         right_lcm=lambda p, q: Lcm(max(p, q), max(p, q) - p, max(p, q) - q),
@@ -110,7 +167,7 @@ def int_add():
         identity=0,
         multiply=lambda p, q: p + q,
         generators=(1, -1),
-        display=str,
+        display=int_display,
         is_unit=lambda p: True,
         left_divide=lambda p, r: r - p,
         right_lcm=lambda p, q: Lcm(p, 0, p - q),
@@ -134,7 +191,7 @@ def zsign_group():
         identity=(0, 1),
         multiply=multiply,
         generators=((1, 1), (0, -1)),
-        display=lambda p: f"({p[0]},{p[1]})",
+        display=pair_display,
         is_unit=lambda p: True,
         left_divide=left_divide,
         right_lcm=lambda p, q: Lcm(p, (0, 1), left_divide(q, p)),
@@ -146,7 +203,7 @@ def parse_pair(text, signs=False):
     m = re.fullmatch(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", text.strip())
     if not m:
         raise ParseError(f"expected '(m,a)', got {text!r}")
-    a, b = int(m.group(1)), int(m.group(2))
+    a, b = read_int(m.group(1)), read_int(m.group(2))
     if signs and b not in (1, -1):
         raise ParseError("second component must be 1 or -1")
     return (a, b)
@@ -212,7 +269,7 @@ def frac_semigroup():
         identity=(0, 1),
         multiply=frac_multiply,
         generators=gens,
-        display=lambda p: f"({p[0]},{p[1]})",
+        display=pair_display,
         is_unit=lambda p: p == (0, 1),
         left_divide=frac_left_divide,
         right_lcm=frac_right_lcm,
@@ -247,8 +304,11 @@ def bs_display(p):
             runs += [["b", k], ["a", 0]]
         runs[-1][1] += 1
     runs.append(["b", beta])
-    return "*".join(x if n == 1 else f"{x}^{n}"
-                    for x, n in runs if n) or EPSILON
+    try:
+        return "*".join(x if n == 1 else f"{x}^{n}"
+                        for x, n in runs if n) or EPSILON
+    except ValueError:
+        raise DigitLimit(max(digit_count(n) for _, n in runs)) from None
 
 
 def bs_factors(text):
@@ -262,6 +322,6 @@ def bs_factors(text):
         m = re.fullmatch(r"\s*([ab])(?:\^(\d+))?\s*", factor)
         if not m:
             raise ParseError(f"bad factor {factor!r}", pos)
-        k = int(m.group(2) or 1)
+        k = read_int(m.group(2) or "1")
         out.append(((0,) * k, 0) if m.group(1) == "a" else ((), k))
     return out

@@ -17,7 +17,7 @@ from rlcm.catalog import (EXAMPLE_ZS_NAMES, REGISTERED_SELECTORS,
                           get_semigroup, get_zs_descriptor)
 from rlcm.cli import run
 from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer, ball_from_elements,
-                       enumerate_ball, lcm_equal_up_to_units)
+                       complements_hold, enumerate_ball, lcm_equal_up_to_units)
 from rlcm.regrep import RepContext, oracle_check_monomial, verify_relations
 from rlcm.report import FAIL
 from rlcm.selfsim import (adding_machine, ftheta_display,
@@ -65,7 +65,8 @@ def test_axiom_certification_and_mutations():
 # ---------------------------------------------------------------------------
 # 2. Closed-form right LCMs agree with brute force: exactly on the
 #    progression semigroup for all moduli up to 12, and up to units on
-#    every radius-3 pair of every example product.
+#    every radius-3 pair of every example product; every closed-form LCM
+#    also multiplies back from its complements.
 
 
 def test_lcm_closed_forms_match_brute_force():
@@ -84,7 +85,8 @@ def test_lcm_closed_forms_match_brute_force():
             if want is DISJOINT or got is DISJOINT:
                 bad += want is not got
             else:
-                bad += want.lcm != got.lcm
+                bad += (want.lcm != got.lcm
+                        or not complements_hold(S, p, q, got))
     frac_ok = bad == 0
     n_frac = len(elems) ** 2
 
@@ -105,7 +107,8 @@ def test_lcm_closed_forms_match_brute_force():
                 got = P.right_lcm(p, q)
                 if want is DISJOINT or got is DISJOINT:
                     mismatches += want is not got
-                elif not lcm_equal_up_to_units(P, got.lcm, want.lcm):
+                elif not (lcm_equal_up_to_units(P, got.lcm, want.lcm)
+                          and complements_hold(P, p, q, got)):
                     mismatches += 1
     _record("lcm-vs-oracle", frac_ok and mismatches == 0,
             f"frac-pairs={n_frac} product-pairs={pairs} "

@@ -177,6 +177,26 @@ def test_a_bad_letter_error_names_the_alphabet():
         "error: expected a letter in 0123456789ab (at position 0)\n")
 
 
+@pytest.mark.parametrize("argv, digits, quoted", [
+    (["mul", "--semigroup", "nat", "1" * 5001], 5001, "1" * 20),
+    (["mul", "--semigroup", "zxz", f"(1{'0' * 4400},1)", "(0,1)"], 4401,
+     "1" + "0" * 19),
+    # Each factor reads; their product's modulus has 8,000 digits.
+    (["mul", "--semigroup", "frac", f"(0,1{'0' * 3999})",
+      f"(0,1{'0' * 4000})"], 8000, None),
+], ids=["nat-parse", "zxz-parse", "frac-display"])
+def test_an_integer_past_the_digit_limit_is_named(argv, digits, quoted):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert _run(argv) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert digits > limit
+    tail = "" if quoted is None else f": '{quoted}…'"
+    assert err.getvalue() == (
+        f"error: integer of {digits} digits is past the limit of {limit} "
+        f"digits (sys.get_int_max_str_digits()){tail}\n")
+
+
 def test_survey_refuses_a_box_too_large_to_enumerate():
     # 3^4 * 4^4 = 20736 words at the top of the box; it is refused before
     # any of them is made.

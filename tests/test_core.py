@@ -1,6 +1,7 @@
 """Ball enumeration, the brute-force right-LCM oracle and the monoid
 law audit."""
 
+import collections
 import dataclasses
 import importlib
 import itertools
@@ -137,18 +138,30 @@ def test_a_failing_shortest_candidate_falls_back_to_the_minimal_ones():
     p, q = (0, 2), (0, 3)
     length = {(0, 12): 1, (0, 6): 2, (6, 6): 2, (0, -6): 2}
     for common in itertools.permutations(length):
-        got = oracle._certify(p, q, common, length.__getitem__, 10)
+        got = _certify_dict(oracle, p, q, common, length, 10)
         assert got == Lcm((0, -6), (0, -3), (0, -2))
     with pytest.raises(BallTooSmall, match="minimal common multiple "
                        r"\(0,-6\) lies at the radius-3 boundary"):
-        oracle._certify(p, q, list(length), length.__getitem__, 3)
+        _certify_dict(oracle, p, q, length, length, 3)
     # Without the least one, the two minimal multiples are the answer,
     # in whatever order the search found them.
     length = {(0, 36): 1, (0, 18): 2, (0, 12): 2}
     for common in itertools.permutations(length):
         with pytest.raises(IncomparableMultiples) as got:
-            oracle._certify(p, q, common, length.__getitem__, 10)
+            _certify_dict(oracle, p, q, common, length, 10)
         assert got.value.witnesses == [(0, 12), (0, 18)]
+
+
+def _certify_dict(oracle, p, q, common, length, radius):
+    """The oracle's certificate for the common multiples `common`, in
+    their order, of lengths `length`, with nothing known beforehand:
+    the candidate is the display-least of the shortest ones."""
+    common = {t: length[t] for t in common}
+    shortest = min(common.values())
+    m = min([t for t in common if common[t] == shortest],
+            key=oracle.S.display)
+    return oracle._certify(p, q, m, shortest, common, lambda: common,
+                           radius)
 
 
 def _outcome(search, p, q):
@@ -179,7 +192,7 @@ def _reference_search(oracle):
         common = {m: max(mp[m], mq[m]) for m in mp.keys() & mq.keys()}
         if not common:
             return DISJOINT
-        return oracle._certify(p, q, common, common.__getitem__, T.radius)
+        return _certify_dict(oracle, p, q, common, common, T.radius)
 
     return search, mult_map
 
@@ -287,6 +300,63 @@ def test_pair_cache_answers_repeats_and_reversals_without_searching():
         assert searches == [(p, q)]
 
 
+def _counted_certificates(selector):
+    """A 2/4 complement oracle on `selector` and a Counter of the
+    successful divisions (m, c) its certificates' success tests make,
+    m the candidate; the failure path and the complements' divisions are
+    not counted."""
+    S = get_semigroup(selector)
+    divided = collections.Counter()
+    testing = None  # the candidate whose success test is running
+
+    def left_divide(m, c):
+        got = S.left_divide(m, c)
+        if got is not None and m == testing:
+            divided[m, c] += 1
+        return got
+
+    oracle = BruteForcer(dataclasses.replace(S, left_divide=left_divide),
+                         enumerate_ball(S, 2),
+                         complements=enumerate_ball(S, 4))
+    certify = oracle._certify
+
+    def after_the_test(then):
+        def call():
+            nonlocal testing
+            testing = None
+            return then()
+        return call
+
+    def counted(p, q, m, shortest, todo, common, radius, proved):
+        nonlocal testing
+        testing = m
+        try:
+            return certify(p, q, m, shortest, todo, after_the_test(common),
+                           radius, after_the_test(proved))
+        finally:
+            testing = None
+
+    oracle._certify = counted
+    return oracle, divided
+
+
+@pytest.mark.parametrize("selector", ["zs:zxz", "zs:ftheta:2,3"])
+def test_a_candidate_divides_each_multiple_once(selector):
+    # The memo keeps what each candidate was seen to divide, so no later
+    # certificate with the same candidate divides that multiple again.
+    oracle, divided = _counted_certificates(selector)
+    for p, q in _interleaved_pairs(list(oracle.ball)):
+        _outcome(oracle.right_lcm, p, q)
+    assert divided and max(divided.values()) == 1
+    # Without it, candidates shared between pairs divide again.
+    again, repeated = _counted_certificates(selector)
+    for p, q in _interleaved_pairs(list(again.ball)):
+        again._divides.clear()
+        _outcome(again.right_lcm, p, q)
+    assert repeated.keys() == divided.keys()
+    assert max(repeated.values()) > 1
+
+
 def _frac_ball_oracle():
     """frac's elements of modulus <= 6 in the explicit ball of moduli
     <= 36, which holds all their common multiples."""
@@ -338,7 +408,9 @@ def test_the_pair_cache_answers_as_a_search_of_the_pair_alone(make, covers):
     S = oracle.S
     want = {}
     for p, q in itertools.product(elems, repeat=2):
-        alone._pair_cache.clear()  # nothing else it keeps depends on pairs
+        # Its pair cache and memo are all it keeps from earlier pairs.
+        alone._pair_cache.clear()
+        alone._divides.clear()
         want[p, q] = _outcome(alone.right_lcm, p, q)
     assert covers(S, want)
     for _ in range(2):
@@ -400,6 +472,39 @@ def test_law_audit_compares_incomparable_outcomes():
         dataclasses.replace(S, right_lcm=lenient), enumerate_ball(S, 2),
         lcm_complements=enumerate_ball(S, 4))
     assert not report.ok
+
+
+def _swapped_complements(S):
+    """S with a right LCM that answers its complements swapped."""
+    def right_lcm(p, q):
+        got = S.right_lcm(p, q)
+        if isinstance(got, Lcm):
+            return Lcm(got.lcm, got.q_comp, got.p_comp)
+        return got
+
+    return dataclasses.replace(S, right_lcm=right_lcm)
+
+
+@pytest.mark.parametrize("selector, radius, complements, witness", [
+    ("zxz", 2, 4, "((0,1),(1,1))"),
+    ("zs:zxz", 1, 4, "(((0,1) ; (0,1)),((0,2) ; (0,1)))"),
+    ("bs:1,2", 2, 4, "(ε,a)"),
+])
+def test_law_audit_checks_the_complements(selector, radius, complements,
+                                          witness):
+    # The swapped complements name the right LCM, so only multiplying
+    # them back catches them.
+    S = get_semigroup(selector)
+    ball = enumerate_ball(S, radius)
+    comps = enumerate_ball(S, complements)
+    (fair,) = [c for c in check_cancellativity_and_lcm(S, ball, comps).checks
+               if c.suite == "lcm-vs-brute"]
+    assert fair.failed == 0 and fair.checked > 0
+    (audit,) = [c for c in check_cancellativity_and_lcm(
+        _swapped_complements(S), ball, comps).checks
+        if c.suite == "lcm-vs-brute"]
+    assert audit.checked == fair.checked and audit.escaped == fair.escaped
+    assert audit.failed > 0 and audit.witnesses[0] == witness
 
 
 def test_law_audit_detects_broken_identity():

@@ -3,6 +3,7 @@ parsers."""
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from rlcm.catalog import (bs_semigroup, get_semigroup, nxn_semigroup,
                           zxz_semigroup)
 from rlcm.core import DISJOINT, enumerate_ball
-from rlcm.zoo import (ParseError, bs_display, frac_right_lcm, frac_semigroup,
-                      free_monoid, int_add, nat_add, zsign_group,
-                      zxz_decompose)
+from rlcm.zoo import (DigitLimit, ParseError, bs_display, digit_count,
+                      frac_right_lcm, frac_semigroup, free_monoid, int_add,
+                      nat_add, zsign_group, zxz_decompose)
 
 # ---------------------------------------------------------------------------
 # frac: the semigroup of arithmetic progressions (r, x) = r + xN.
@@ -88,6 +89,29 @@ def test_frac_parse_rejects_bad_pairs():
         S.parse("(2,2)")
     with pytest.raises(ParseError):
         S.parse("junk")
+
+
+def test_digit_count_is_the_length_of_the_decimal_text():
+    for k in range(1, 300):
+        for n in (10 ** k - 1, 10 ** k, 10 ** k + 1, 2 ** k, 3 ** k):
+            assert digit_count(n) == digit_count(-n) == len(str(n)), n
+    assert digit_count(0) == 1
+
+
+def test_integers_past_the_digit_limit_are_named_both_ways():
+    limit = sys.get_int_max_str_digits()
+    long = 10 ** (limit + 5)
+    for S, element in ((nat_add(), long), (frac_semigroup(), (1, long)),
+                       (get_semigroup("bs:1,2"), ((), long))):
+        with pytest.raises(DigitLimit, match=f"integer of {limit + 6} "
+                           f"digits is past the limit of {limit} digits"):
+            S.display(element)
+    for S, text in ((nat_add(), "7" * (limit + 1)),
+                    (frac_semigroup(), f"(0,{'7' * (limit + 1)})"),
+                    (get_semigroup("bs:1,2"), f"b^{'7' * (limit + 1)}")):
+        with pytest.raises(DigitLimit, match=f"{limit + 1} digits .*: "
+                           "'7777777777"):
+            S.parse(text)
 
 
 # ---------------------------------------------------------------------------
