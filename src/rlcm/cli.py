@@ -7,9 +7,13 @@ the shared format
     RESULT <PASS|FAIL> <suite> checked=N failed=M [witness ...]
 
 and the exit code is 0 when nothing failed, 1 on FAIL or on a found
-counterexample to the right-LCM property, 2 on bad input.  `run` returns
-the exit code for every error it raises itself; an argparse usage error
-raises SystemExit(2), as in any argparse program.
+counterexample to the right-LCM property, 2 on bad input, work past a
+cap (AXIOM_MAX_CHECKS, RELATIONS_MAX_BASIS) included.  `run` returns the
+exit code for every error it raises itself; an argparse usage error
+raises SystemExit(2), as in any argparse program.  `VERBS` and `FLAGS`
+are the one table of the grammar: `parse` reads a plain request straight
+from them, and builds the argparse parser only for help or a request it
+does not read itself.
 """
 
 from __future__ import annotations
@@ -57,44 +61,83 @@ VERBS = {
 #: Flags a verb accepts without reading them, with the help that says so.
 IGNORED = {("lcm", "radius"): "accepted and ignored: the right LCM is exact"}
 
+#: The most axiom instances `check-axioms` evaluates, |A|²·|U| + |A|·|U|²
+#: over its two balls; about a microsecond each.
+AXIOM_MAX_CHECKS = 2_000_000
 
-def _add_verb_arguments(p, verb):
-    _help, flags, nargs = VERBS[verb]
-    for flag in flags:
-        p.add_argument(f"--{flag}", **FLAGS[flag],
-                       help=IGNORED.get((verb, flag)))
-    if nargs is not None:
-        p.add_argument("args", nargs=nargs)
-    return p
+#: The largest basis `check-relations` builds a product's tables on; the
+#: Li suite's work grows with its cube.
+RELATIONS_MAX_BASIS = 250
 
 
 def build_parser():
     """The parser of every verb, as `rlcm --help` shows it."""
     top = argparse.ArgumentParser(prog="rlcm", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
-    for verb, (help_text, _flags, _nargs) in VERBS.items():
-        _add_verb_arguments(sub.add_parser(verb, help=help_text), verb)
+    for verb, (help_text, flags, nargs) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag],
+                           help=IGNORED.get((verb, flag)))
+        if nargs is not None:
+            p.add_argument("args", nargs=nargs)
     return top
 
 
-def verb_parser(verb):
-    """The parser of one verb: the same as `build_parser`'s `rlcm <verb>`
-    subparser, for about a sixth of the cost of building all of them."""
-    return _add_verb_arguments(argparse.ArgumentParser(prog=f"rlcm {verb}"),
-                               verb)
-
-
 def parse(argv):
-    """The namespace of one request.  A request that starts with a verb
-    is read by that verb's parser alone.  Every other request, and one
-    with arguments its verb does not take, goes to the whole parser,
-    which prints the usage and errors it always has."""
-    if argv and argv[0] in VERBS:
-        ns, extra = verb_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            ns.verb = argv[0]
-            return ns
-    return build_parser().parse_args(argv)
+    """The namespace of one request, equal to what `build_parser` reads.
+
+    A request in plain form is read straight from `VERBS` and `FLAGS`: a
+    verb; exact `--flag value` pairs for the flags that verb takes, each
+    value read by the flag's `type` and `choices`, the last one winning;
+    and one unbroken run of positionals as many as the verb's nargs.  No
+    other word may start with `-`.  Every other request (help, `=`,
+    abbreviations, `--`, words that start with `-`, miscounted or split
+    positionals, values that do not read) goes to the whole parser,
+    which reads it or prints the usage and error it always has."""
+    ns = _read_plain(argv)
+    return build_parser().parse_args(argv) if ns is None else ns
+
+
+def _read_plain(argv):
+    """The namespace of a request in plain form, or None."""
+    if not argv or argv[0] not in VERBS:
+        return None
+    verb = argv[0]
+    _help, flags, nargs = VERBS[verb]
+    values = {flag: FLAGS[flag]["default"] for flag in flags}
+    args, run_over = [], False
+    i = 1
+    while i < len(argv):
+        word = argv[i]
+        if not word.startswith("-"):
+            if run_over:
+                return None
+            args.append(word)
+            i += 1
+            continue
+        flag = word[2:]
+        if (word[:2] != "--" or flag not in values or i + 1 == len(argv)
+                or argv[i + 1].startswith("-")):
+            return None
+        spec = FLAGS[flag]
+        try:
+            value = spec.get("type", str)(argv[i + 1])
+        except (TypeError, ValueError):
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        values[flag] = value
+        run_over = bool(args)
+        i += 2
+    if nargs is None:
+        if args:
+            return None
+    elif not args if nargs == "+" else len(args) != nargs:
+        return None
+    else:
+        values["args"] = args
+    return argparse.Namespace(verb=verb, **values)
 
 
 TOKEN_RE = re.compile(r"^([vtse])\((.*)\)(\*)?$")
@@ -212,9 +255,14 @@ def _dispatch(ns):
         if not sel.startswith("zs:"):
             raise ValueError("check-axioms needs a zs:<name> selector")
         D = catalog.descriptor_of(sel)
-        report = zs_axiom_check(D, enumerate_ball(D.U, ns.radius),
-                                enumerate_ball(D.A, ns.radius))
-        return _finish(report)
+        us = enumerate_ball(D.U, ns.radius)
+        avs = enumerate_ball(D.A, ns.radius)
+        checks = len(avs) * len(us) * (len(avs) + len(us))
+        if checks > AXIOM_MAX_CHECKS:
+            raise ValueError(f"check-axioms on {sel} at --radius {ns.radius} "
+                             f"makes {checks} checks, past the cap of "
+                             f"{AXIOM_MAX_CHECKS}")
+        return _finish(zs_axiom_check(D, us, avs))
 
     if ns.verb == "check-relations":
         suites = None if ns.suite is None else tuple(ns.suite.split(","))
@@ -231,7 +279,8 @@ def _dispatch(ns):
         report = Report()
         try:
             for suite in suites or SUITES:
-                report.extend(verify_relations(D, ns.radius, suite))
+                report.extend(verify_relations(D, ns.radius, suite,
+                                               RELATIONS_MAX_BASIS))
         except IncomparableMultiples as e:
             return _incomparable(zs_semigroup(D), e)
         return _finish(report)

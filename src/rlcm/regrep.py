@@ -181,16 +181,21 @@ class RepContext:
         return view
 
 
-def verify_relations(D, radius=3, suite="Li"):
+def verify_relations(D, radius=3, suite="Li", max_basis=None):
     """Evaluate one relation suite of the product of D on a radius ball.
 
     Suites: "Li" (the defining isometry and projection relations),
     "covariance" (adjoint-times-isometry collapses through the right
     LCM), "K" (the mixed relations tying the A-isometries to the
-    U-isometries).  Escaped vectors are excluded and counted.
+    U-isometries).  Escaped vectors are excluded and counted.  A ball of
+    more than `max_basis` elements is refused before any table is built.
     """
     P = zs_semigroup(D)
-    ctx = RepContext(P, enumerate_ball(P, radius))
+    ball = enumerate_ball(P, radius)
+    if max_basis is not None and len(ball) > max_basis:
+        raise ValueError(f"the radius-{radius} basis of {P.name} has "
+                         f"{len(ball)} elements, past the cap of {max_basis}")
+    ctx = RepContext(P, ball)
     basis = ctx.basis
     report = Report()
     disp = P.display

@@ -311,17 +311,32 @@ def bs_display(p):
         raise DigitLimit(max(digit_count(n) for _, n in runs)) from None
 
 
+#: The most letters a that one BS(c,d)+ element may spell.  Each a is
+#: stored as a letter, and a walk through the word can grow an exponent
+#: by c/d per letter, so a longer word is refused before it is built.
+BS_MAX_LETTERS = 10_000
+
+
 def bs_factors(text):
     """The factors of a `*`-separated product of powers a^k and b^k, each
-    as one element: a^k is ((0,) * k, 0) and b^k is ((), k)."""
+    as one element: a^k is ((0,) * k, 0) and b^k is ((), k).  More than
+    BS_MAX_LETTERS letters a in all are refused."""
     text = text.strip()
     if text == EPSILON or text == "e":
         return []
     out = []
+    letters = 0
     for pos, factor in enumerate(text.split("*")):
         m = re.fullmatch(r"\s*([ab])(?:\^(\d+))?\s*", factor)
         if not m:
             raise ParseError(f"bad factor {factor!r}", pos)
         k = read_int(m.group(2) or "1")
-        out.append(((0,) * k, 0) if m.group(1) == "a" else ((), k))
+        if m.group(1) == "b":
+            out.append(((), k))
+            continue
+        letters += k
+        if letters > BS_MAX_LETTERS:
+            raise ParseError(f"more than {BS_MAX_LETTERS} letters a in one "
+                             f"element, the cap", pos)
+        out.append(((0,) * k, 0))
     return out

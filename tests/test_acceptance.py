@@ -8,6 +8,7 @@ before asserting, so a scan of the captured output gives the full
 verdict table.
 """
 
+import dataclasses
 import io
 import itertools
 import random
@@ -334,14 +335,34 @@ def test_foundation_transfer_and_exact_criterion():
 #     runs of the reporting commands are byte-identical.
 
 
+def _round_trips(S):
+    """(radius-3 elements of S, how many of them parse back from their
+    display); a display that does not parse counts as not parsing back."""
+    elements = back = 0
+    for x in enumerate_ball(S, 3):
+        elements += 1
+        try:
+            back += S.parse(S.display(x)) == x
+        except ValueError:
+            pass
+    return elements, back
+
+
 def test_round_trip_and_determinism():
     ok = True
     elements = 0
     for selector in REGISTERED_SELECTORS:
-        S = get_semigroup(selector)
-        for x in enumerate_ball(S, 3):
-            elements += 1
-            ok &= S.parse(S.display(x)) == x
+        n, back = _round_trips(get_semigroup(selector))
+        elements += n
+        ok &= back == n
+
+    # Planted defect: Z x| Zx shown without the sign of its multiplier.
+    zxz = get_semigroup("zxz")
+    unsigned = dataclasses.replace(
+        zxz, display=lambda p: zxz.display((p[0], abs(p[1]))))
+    n, back = _round_trips(unsigned)
+    caught = int(back < n)
+    ok &= caught == 1
 
     def capture(argv):
         buf = io.StringIO()
@@ -365,4 +386,5 @@ def test_round_trip_and_determinism():
         second = capture(argv)
         ok &= first == second
     _record("cli-round-trip-determinism", ok,
-            f"elements={elements} commands={len(commands)}")
+            f"elements={elements} commands={len(commands)} "
+            f"mutants-caught={caught}/1")

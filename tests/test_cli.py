@@ -4,14 +4,16 @@ deterministic reports."""
 import argparse
 import io
 import os
+import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from rlcm import catalog, cli
+from rlcm import catalog, cli, zoo
 from rlcm.catalog import REGISTERED_SELECTORS, get_semigroup
 from rlcm.cli import run
 from rlcm.core import enumerate_ball
@@ -203,6 +205,45 @@ def test_survey_refuses_a_box_too_large_to_enumerate():
     code, out = _run(["survey-ftheta", "--semigroup", "ftheta:3,4",
                       "--bidegree", "4,4"])
     assert (code, out) == (2, "")
+
+
+def test_a_bs_element_past_the_letter_cap_is_refused_before_it_is_built():
+    cap = zoo.BS_MAX_LETTERS
+    for word, position in ((f"a^{10 ** 20}", 0),
+                           (f"b*a^{cap // 2}*b^3*a^{cap - cap // 2 + 1}", 3)):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert _run(["mul", "--semigroup", "bs:1,2", word, "b"]) == (2, "")
+        assert err.getvalue() == (
+            f"error: more than {cap} letters a in one element, the cap "
+            f"(at position {position})\n")
+    assert _run(["decompose", "--semigroup", "bs:1,2", f"a^{cap}"]) == (
+        0, f"{'0' * cap} ; 0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-axioms", "--semigroup", "zs:zxz", "--radius", "6"],
+     "check-axioms on zs:zxz at --radius 6 makes 202777850 checks, past the "
+     f"cap of {cli.AXIOM_MAX_CHECKS}"),
+    (["check-relations", "--semigroup", "zs:zxz", "--suite", "Li",
+      "--radius", "4"],
+     "the radius-4 basis of zs:zxz has 683 elements, past the cap of "
+     f"{cli.RELATIONS_MAX_BASIS}"),
+])
+def test_work_past_a_cap_is_refused_before_it_starts(monkeypatch, argv,
+                                                     message):
+    import rlcm.regrep as regrep
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(regrep, "rep_generator", no_table)
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    with redirect_stderr(err):
+        assert _run(argv) == (2, "")
+    assert time.perf_counter() - t0 < 1
+    assert err.getvalue() == f"error: {message}\n"
 
 
 def test_unknown_model_suite_exits_2():
@@ -413,16 +454,20 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_each_verb_parser_is_the_whole_parsers_subparser():
+def test_the_whole_parser_reads_the_verb_table():
     whole = cli.build_parser()
     (verbs,) = (a for a in whole._actions
                 if isinstance(a, argparse._SubParsersAction))
     assert list(verbs.choices) == list(cli.VERBS)
     for verb, sub in verbs.choices.items():
-        assert cli.verb_parser(verb).format_help() == sub.format_help()
+        _help, flags, nargs = cli.VERBS[verb]
+        options = [a.option_strings for a in sub._actions if a.option_strings]
+        assert options == [["-h", "--help"], *([f"--{f}"] for f in flags)]
+        assert [a.nargs for a in sub._actions if not a.option_strings] == (
+            [] if nargs is None else [nargs]), verb
 
 
-def test_a_request_builds_only_its_verbs_parser(monkeypatch):
+def test_a_plain_request_builds_no_parser(monkeypatch):
     builds = []
     init = argparse.ArgumentParser.__init__
 
@@ -432,22 +477,31 @@ def test_a_request_builds_only_its_verbs_parser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     requests = (["mul", "--semigroup", "bs:2,3", "a*b", "b^2*a"],
+                ["lcm", "--radius", "1", "--semigroup", "frac", "(1,2)",
+                 "(2,3)"],
                 ["normalize", "--semigroup", "nxn", "t(0,2)* t(1,2)"],
-                ["decompose", "--semi", "bs:2,3", "a*b^2"],
-                ["check-relations", "--model", "QN"],
-                ["survey-ftheta", "--semigroup=ftheta:2,3"])
+                ["check-axioms", "--semigroup", "zs:add:2", "--radius", "1"],
+                ["check-relations", "--model", "QN", "--model", "Q2"],
+                ["foundation", "0", "1", "--semigroup", "free:2", "--mode",
+                 "exact"],
+                ["survey-ftheta", "--semigroup", "ftheta:2,3"],
+                ["decompose", "--semigroup", "bs:2,3", "a*b^2"])
+    assert sorted({argv[0] for argv in requests}) == sorted(cli.VERBS)
     for argv in requests:
         assert _run(argv)[0] == 0, argv
-    assert builds == [f"rlcm {argv[0]}" for argv in requests]
-    # An argument the verb does not take goes to the whole parser, whose
-    # usage error is the one it always printed; the next request does not
-    # see it.
-    del builds[:]
+    assert builds == []
+    # An abbreviation or `=` goes to the whole parser, which reads it.
+    for argv in (["decompose", "--semi", "bs:2,3", "a*b^2"],
+                 ["survey-ftheta", "--semigroup=ftheta:2,3"]):
+        assert _run(argv)[0] == 0, argv
+        assert builds[0] == "rlcm", argv
+        del builds[:]
+    # So does an argument the verb does not take; its usage error is the
+    # one it always printed, and the next request does not see it.
     err = io.StringIO()
     with redirect_stderr(err), pytest.raises(SystemExit) as exc:
         _run(["mul", "--semigroup", "nat", "--radius", "2", "1"])
     assert exc.value.code == 2
-    assert builds[:2] == ["rlcm mul", "rlcm"]
     assert err.getvalue().endswith(
         "rlcm: error: unrecognized arguments: --radius\n")
     for argv in (["lcm", "--semigroup", "frac", "(1,2)", "(2,3)"],
@@ -455,6 +509,70 @@ def test_a_request_builds_only_its_verbs_parser(monkeypatch):
                   "0", "1"]):
         fresh = _python("-m", "rlcm.cli", *argv)
         assert _run(argv) == (fresh.returncode, fresh.stdout), argv
+
+
+#: Words that argparse reads in its own ways: help, `--`, a lone `-`, a
+#: negative number, an empty word, `=`, an abbreviation and a verb.
+_ODD_WORDS = ("-h", "--help", "--", "-", "-1", "", "a b", "--semigroup=nat",
+              "--radius=2", "--semi", "--mo", "-x", "mul", "exact")
+
+
+def _sweep_argv(rng):
+    """A request built from the verb table, well formed or nearly so."""
+    verb = rng.choice((*cli.VERBS, "nope"))
+    _help, own, nargs = cli.VERBS.get(verb, ("", (), None))
+    count = {None: 0, "+": rng.randint(1, 3)}.get(nargs, nargs)
+    count = max(0, count + rng.choice((0, 0, 0, 0, -1, 1)))
+    run = [rng.choice(("1", "x", "a*b", "(1,2)", "v(1) e(0)")) for _ in
+           range(count)]
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        flag = rng.choice(own if own and rng.random() < 0.8 else
+                          tuple(cli.FLAGS))
+        value = rng.choice({"radius": ("2", "0", "x", "-1", " 3"),
+                            "mode": ("exact", "bounded", "nope")}.get(
+            flag, ("nat", "zs:nxn", "Li", "2,2", "a b", "")))
+        name, shape = f"--{flag}", rng.random()
+        if shape < 0.05:
+            pairs.append([name[:rng.randint(3, len(name))], value])
+        elif shape < 0.1:
+            pairs.append([f"{name}={value}"])
+        elif shape < 0.13:
+            pairs.append([name])
+        else:
+            pairs.append([name, value])
+    at = rng.randint(0, len(pairs))
+    parts = [*pairs[:at], run, *pairs[at:]]
+    if run and rng.random() < 0.1:   # split the positionals
+        parts.insert(rng.randint(0, len(parts)), [run.pop()])
+    argv = [verb, *(word for part in parts for word in part)]
+    if rng.random() < 0.25:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(_ODD_WORDS))
+    return argv
+
+
+def _read(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            got = parse(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+def test_a_seeded_sweep_reads_as_the_whole_parser_reads(monkeypatch):
+    # Usage and help lines wrap at the terminal width; fix it.
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(2024)
+    whole = cli.build_parser()
+    plain = 0
+    for _ in range(2400):
+        argv = _sweep_argv(rng)
+        plain += cli._read_plain(argv) is not None
+        assert _read(cli.parse, argv) == _read(whole.parse_args, argv), argv
+    # Both paths are exercised.
+    assert 400 < plain < 2000, plain
 
 
 def test_every_request_reads_as_the_whole_parser_reads_it():
