@@ -4,7 +4,7 @@ normal forms, right least common multiples with brute-force oracles, the
 exact affine boundary models.
 """
 
-from .core import (DISJOINT, Ball, BallTooSmall, BruteForcer,
+from .core import (DISJOINT, Ball, BallTooLarge, BallTooSmall, BruteForcer,
                    IncomparableMultiples, Lcm, Semigroup,
                    check_cancellativity_and_lcm, enumerate_ball,
                    lcm_equal_up_to_units)
@@ -13,7 +13,7 @@ from .zs import HypothesisViolation, ZSDescriptor, zs_axiom_check, \
     zs_left_divide, zs_multiply, zs_right_lcm, zs_semigroup
 
 __all__ = [
-    "DISJOINT", "Ball", "BallTooSmall", "BruteForcer",
+    "DISJOINT", "Ball", "BallTooLarge", "BallTooSmall", "BruteForcer",
     "IncomparableMultiples", "Lcm", "Semigroup",
     "check_cancellativity_and_lcm", "enumerate_ball", "lcm_equal_up_to_units",
     "FAIL", "PASS", "Check", "Report",

@@ -227,18 +227,17 @@ def _affine_suites(D, levels, a_range):
     def k1_cases():
         for a in a_range:
             for u in us:
+                au, r = D.matching(a, u)
                 yield (affine_compose(s(a), t(u)),
-                       affine_compose(t(D.action(a, u)),
-                                      s(D.restriction(a, u))),
+                       affine_compose(t(au), s(r)),
                        f"a={a},u={D.U.display(u)}")
 
     def k2_cases():
         for a in a_range:
             for u in us:
-                z = D.action_inverse(a, u)
+                z, r = D.comatching(a, u)
                 yield (affine_compose(affine_adjoint(s(a)), t(u)),
-                       affine_compose(t(z), affine_adjoint(
-                           s(D.restriction(a, z)))),
+                       affine_compose(t(z), affine_adjoint(s(r))),
                        f"a={a},u={D.U.display(u)}")
 
     def q1_cases():

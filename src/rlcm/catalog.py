@@ -19,23 +19,39 @@ from . import zoo
 from .core import DISJOINT, Lcm, Semigroup
 from .selfsim import (adding_machine, bs_odometer, ftheta_semigroup,
                       odometer_walk, ssa_act_word)
-from .zs import (ZSDescriptor, zs_left_divide, zs_multiply, zs_right_lcm,
-                 zs_semigroup)
+from .zs import (FusedMatching, ZSDescriptor, zs_left_divide,
+                 zs_multiply, zs_right_lcm, zs_semigroup)
 
 
-def walked_zs(name, U, A, walk):
-    """U ⋈ A matched by one walk, walk(a, u) == (a·u, a|_u), cached for
-    the descriptor's lifetime; the walk at -a is the inverse action, as
-    every integer acts on the words however small A is."""
-    walk = functools.cache(walk)
+def fused_zs(name, U, A, matching, comatching):
+    """The descriptor of U ⋈ A whose three fields are the views of one
+    fused pair, `matching(a, u) == (a·u, a|_u)` and
+    `comatching(a, x) == (v, a|_v)` with a·v == x; the product reads the
+    pair itself."""
+    views = FusedMatching(matching, comatching)
     return ZSDescriptor(
         name=name,
         U=U,
         A=A,
-        action=lambda a, u: walk(a, u)[0],
-        restriction=lambda a, u: walk(a, u)[1],
-        action_inverse=lambda a, u: walk(-a, u)[0],
+        action=views.action,
+        restriction=views.restriction,
+        action_inverse=views.action_inverse,
     )
+
+
+def walked_zs(name, U, A, walk):
+    """U ⋈ A matched by one walk, walk(a, u) == (a·u, a|_u), cached for
+    the descriptor's lifetime.  Every integer acts on the words however
+    small A is, so the walk at -a inverts the action, and since
+    a|_v == -((-a)|_x) for v == (-a)·x, it yields the comatching too;
+    both read the one cache of walks."""
+    walk = functools.cache(walk)
+
+    def comatching(a, x):
+        v, r = walk(-a, x)
+        return v, -r
+
+    return fused_zs(name, U, A, walk, functools.cache(comatching))
 
 
 def ssa_zs_descriptor(D, name):
@@ -61,46 +77,39 @@ def nxn_zs():
     (r, x) acted on by shifts m via ((m+r) mod x, x), with restriction
     the shift quotient."""
 
-    def action(m, u):
+    def matching(m, u):
         r, x = u
-        return ((m + r) % x, x)
+        t = m + r
+        return (t % x, x), t // x
 
-    def restriction(m, u):
-        r, x = u
-        return (m + r) // x
+    def comatching(m, y):
+        # v = (r - m) mod x, and m + v == r - x*((r - m) div x)
+        r, x = y
+        t = r - m
+        return (t % x, x), -(t // x)
 
-    return ZSDescriptor(
-        name="nxn",
-        U=zoo.frac_semigroup(),
-        A=zoo.nat_add(),
-        action=action,
-        restriction=restriction,
-        action_inverse=lambda m, u: action(-m, u),
-    )
+    return fused_zs("nxn", zoo.frac_semigroup(), zoo.nat_add(), matching,
+                    comatching)
 
 
 def zxz_zs():
     """U ⋈ A form of the affine monoid over Z; A is the group of shifts
     and reflections (m, j) with j in {1, -1}."""
 
-    def action(a, u):
-        (m, j), (r, x) = a, u
-        return ((m + j * r) % x, x)
-
-    def restriction(a, u):
+    def matching(a, u):
         (m, j), (r, x) = a, u
         t = m + j * r
-        return ((t - t % x) // x, j)
+        return (t % x, x), (t // x, j)
 
-    return ZSDescriptor(
-        name="zxz",
-        U=zoo.frac_semigroup(),
-        A=zoo.zsign_group(),
-        action=action,
-        restriction=restriction,
-        # (m, j)^-1 is (-j·m, j)
-        action_inverse=lambda a, u: action((-a[1] * a[0], a[1]), u),
-    )
+    def comatching(a, y):
+        # (m, j)^-1 is (-j·m, j), so v = j(r - m) mod x, and m + j·v ==
+        # r - j·x·(j(r - m) div x)
+        (m, j), (r, x) = a, y
+        t = j * (r - m)
+        return (t % x, x), (-j * (t // x), j)
+
+    return fused_zs("zxz", zoo.frac_semigroup(), zoo.zsign_group(), matching,
+                    comatching)
 
 
 def ftheta_zs(m, n):

@@ -19,11 +19,13 @@ does not read itself.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
 from . import boundary, catalog, zoo
-from .core import DISJOINT, IncomparableMultiples, enumerate_ball
+from .core import (DISJOINT, BallTooLarge, IncomparableMultiples,
+                   enumerate_ball)
 from .report import FAIL, Report
 from .selfsim import ftheta_right_lcm_survey, theta_build
 from .star import VV, is_foundation_set, mono_display, word_normalize
@@ -68,6 +70,12 @@ AXIOM_MAX_CHECKS = 2_000_000
 #: The largest basis `check-relations` builds a product's tables on; the
 #: Li suite's work grows with its cube.
 RELATIONS_MAX_BASIS = 250
+
+
+def _most_balls(n):
+    """The largest m with n·m·(n + m) <= AXIOM_MAX_CHECKS: the most
+    elements one ball of `check-axioms` may hold when the other holds n."""
+    return (math.isqrt(n ** 4 + 4 * n * AXIOM_MAX_CHECKS) - n * n) // (2 * n)
 
 
 def build_parser():
@@ -255,13 +263,14 @@ def _dispatch(ns):
         if not sel.startswith("zs:"):
             raise ValueError("check-axioms needs a zs:<name> selector")
         D = catalog.descriptor_of(sel)
-        us = enumerate_ball(D.U, ns.radius)
-        avs = enumerate_ball(D.A, ns.radius)
-        checks = len(avs) * len(us) * (len(avs) + len(us))
-        if checks > AXIOM_MAX_CHECKS:
+        try:
+            # |U| >= 1, so the A ball alone bounds the work from below.
+            avs = enumerate_ball(D.A, ns.radius, _most_balls(1))
+            us = enumerate_ball(D.U, ns.radius, _most_balls(len(avs)))
+        except BallTooLarge:
             raise ValueError(f"check-axioms on {sel} at --radius {ns.radius} "
-                             f"makes {checks} checks, past the cap of "
-                             f"{AXIOM_MAX_CHECKS}")
+                             f"makes more than the cap of "
+                             f"{AXIOM_MAX_CHECKS} checks") from None
         return _finish(zs_axiom_check(D, us, avs))
 
     if ns.verb == "check-relations":
@@ -283,6 +292,10 @@ def _dispatch(ns):
                                                RELATIONS_MAX_BASIS))
         except IncomparableMultiples as e:
             return _incomparable(zs_semigroup(D), e)
+        except BallTooLarge:
+            raise ValueError(f"the radius-{ns.radius} basis of {sel} has more "
+                             f"than the cap of {RELATIONS_MAX_BASIS} "
+                             f"elements") from None
         return _finish(report)
 
     if ns.verb == "foundation":

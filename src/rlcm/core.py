@@ -26,6 +26,16 @@ class BallTooSmall(Exception):
     minimality; the caller should retry with a larger ball."""
 
 
+class BallTooLarge(ValueError):
+    """A ball passed the limit on its size that the caller set; raised
+    while it is built, before it grows further."""
+
+    def __init__(self, S, radius, limit):
+        super().__init__(f"the radius-{radius} ball of {S.name} has more "
+                         f"than the cap of {limit} elements")
+        self.limit = limit
+
+
 class IncomparableMultiples(Exception):
     """The searched ball contains common right multiples of a pair with no
     common divisor among them: in-ball evidence against the right-LCM
@@ -109,9 +119,11 @@ class Ball:
         return {x: i for i, x in enumerate(self.elements)}
 
 
-def enumerate_ball(S, radius):
+def enumerate_ball(S, radius, limit=None):
     """All products of at most `radius` generators, deduplicated by
-    canonical equality, in deterministic (BFS, display-sorted) order."""
+    canonical equality, in deterministic (BFS, display-sorted) order.
+    With a `limit`, a ball of more elements raises `BallTooLarge` as soon
+    as it passes the limit."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     lengths = {S.identity: 0}
@@ -124,6 +136,8 @@ def enumerate_ball(S, radius):
                 if y not in lengths:
                     lengths[y] = k
                     new.append(y)
+            if limit is not None and len(lengths) > limit:
+                raise BallTooLarge(S, radius, limit)
         frontier = sorted(new, key=S.display)
     return Ball(radius, lengths)
 

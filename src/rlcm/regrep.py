@@ -188,13 +188,11 @@ def verify_relations(D, radius=3, suite="Li", max_basis=None):
     "covariance" (adjoint-times-isometry collapses through the right
     LCM), "K" (the mixed relations tying the A-isometries to the
     U-isometries).  Escaped vectors are excluded and counted.  A ball of
-    more than `max_basis` elements is refused before any table is built.
+    more than `max_basis` elements raises `BallTooLarge` while it is
+    built, before any table.
     """
     P = zs_semigroup(D)
-    ball = enumerate_ball(P, radius)
-    if max_basis is not None and len(ball) > max_basis:
-        raise ValueError(f"the radius-{radius} basis of {P.name} has "
-                         f"{len(ball)} elements, past the cap of {max_basis}")
+    ball = enumerate_ball(P, radius, max_basis)
     ctx = RepContext(P, ball)
     basis = ctx.basis
     report = Report()
@@ -245,13 +243,12 @@ def verify_relations(D, radius=3, suite="Li", max_basis=None):
         for a in ball_a:
             for u in ball_u:
                 tag = f"(a={D.A.display(a)},u={D.U.display(u)})"
+                au, r = D.matching(a, u)
                 k1.append((op_compose(s_tab(a).fwd, t_op(u)),
-                           op_compose(t_op(D.action(a, u)),
-                                      s_tab(D.restriction(a, u)).fwd), tag))
-                z = D.action_inverse(a, u)
+                           op_compose(t_op(au), s_tab(r).fwd), tag))
+                z, r = D.comatching(a, u)
                 k2.append((op_compose(s_tab(a).bwd, t_op(u)),
-                           op_compose(t_op(z),
-                                      s_tab(D.restriction(a, z)).bwd), tag))
+                           op_compose(t_op(z), s_tab(r).bwd), tag))
         _family(report, "K1", basis, disp, k1)
         _family(report, "K2", basis, disp, k2)
     else:

@@ -56,11 +56,14 @@ def bs_odometer(c, d):
 
 def odometer_walk(D, k, letters):
     """(k·letters, k|_letters): the action letter by letter, the
-    restriction trailing along; length is preserved."""
+    restriction trailing along; length is preserved.  One `divmod` per
+    letter gives both of `D.act` and `D.res`."""
+    c, d = D.c, D.d
     out = []
     for x in letters:
-        out.append(D.act(k, x))
-        k = D.res(k, x)
+        q, y = divmod(x + k, d)
+        out.append(y)
+        k = c * q
     return tuple(out), k
 
 

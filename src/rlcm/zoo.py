@@ -12,6 +12,7 @@ a positive modulus), so representatives always land in [0, x).
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 
@@ -116,7 +117,7 @@ def free_monoid(k):
     return Semigroup(
         name=f"free:{k}",
         identity="",
-        multiply=lambda p, q: p + q,
+        multiply=operator.add,
         generators=tuple(letters),
         display=lambda w: w if w else EPSILON,
         is_unit=lambda w: w == "",
@@ -143,7 +144,7 @@ def nat_add():
     return Semigroup(
         name="nat",
         identity=0,
-        multiply=lambda p, q: p + q,
+        multiply=operator.add,
         generators=(1,),
         display=int_display,
         is_unit=lambda p: p == 0,
@@ -165,7 +166,7 @@ def int_add():
     return Semigroup(
         name="zadd",
         identity=0,
-        multiply=lambda p, q: p + q,
+        multiply=operator.add,
         generators=(1, -1),
         display=int_display,
         is_unit=lambda p: True,

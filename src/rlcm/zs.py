@@ -8,11 +8,13 @@ on U x A with
 
 For the right-LCM machinery the action of each a must be a bijection of
 U, so a descriptor also carries the inverse map u -> v with a·v = u.
+Every product operation reads the matching as pairs: `matching(a, u)`
+is (a·u, a|_u) and `comatching(a, x)` is (v, a|_v) with a·v == x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .core import DISJOINT, IncomparableMultiples, Lcm, Semigroup
@@ -24,12 +26,40 @@ class HypothesisViolation(Exception):
     two restrictions that are not comparable by left divisibility in A."""
 
 
+class FusedMatching:
+    """One fused matching pair, whose bound methods `action`,
+    `restriction` and `action_inverse` are a descriptor's three fields
+    read back from it: the views of the pair, each in its own role."""
+
+    __slots__ = ("matching", "comatching")
+
+    def __init__(self, matching, comatching):
+        self.matching = matching
+        self.comatching = comatching
+
+    def action(self, a, u):
+        return self.matching(a, u)[0]
+
+    def restriction(self, a, u):
+        return self.matching(a, u)[1]
+
+    def action_inverse(self, a, x):
+        return self.comatching(a, x)[0]
+
+
 @dataclass(frozen=True)
 class ZSDescriptor:
     """The raw matching data for one product U ⋈ A.
 
     `action(a, u)` is a·u, `restriction(a, u)` is a|_u, and
-    `action_inverse(a, u)` is the unique v with a·v == u.
+    `action_inverse(a, u)` is the unique v with a·v == u.  The fused maps
+    `matching(a, u) -> (a·u, a|_u)` and `comatching(a, x) -> (v, a|_v)`
+    with a·v == x are derived from those three fields, and every product
+    operation reads only them.  When the three fields are the views of
+    one `FusedMatching`, each in its own role, the fused maps are that
+    pair's own; otherwise they are composed from the fields as given, so
+    a field replaced by `dataclasses.replace` (a wrapper, a mutant, or a
+    view in the wrong role) takes effect everywhere.
     """
 
     name: str
@@ -38,12 +68,34 @@ class ZSDescriptor:
     action: Callable[[Any, Any], Any]
     restriction: Callable[[Any, Any], Any]
     action_inverse: Callable[[Any, Any], Any]
+    matching: Callable[[Any, Any], Any] = field(
+        init=False, repr=False, compare=False)
+    comatching: Callable[[Any, Any], Any] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        act, res, inv = self.action, self.restriction, self.action_inverse
+        origin = getattr(act, "__self__", None)
+        if (isinstance(origin, FusedMatching) and act == origin.action
+                and res == origin.restriction
+                and inv == origin.action_inverse):
+            matching, comatching = origin.matching, origin.comatching
+        else:
+            def matching(a, u):
+                return act(a, u), res(a, u)
+
+            def comatching(a, x):
+                v = inv(a, x)
+                return v, res(a, v)
+
+        object.__setattr__(self, "matching", matching)
+        object.__setattr__(self, "comatching", comatching)
 
 
 def zs_multiply(D, p, q):
     (u, a), (v, b) = p, q
-    return (D.U.multiply(u, D.action(a, v)),
-            D.A.multiply(D.restriction(a, v), b))
+    av, r = D.matching(a, v)
+    return D.U.multiply(u, av), D.A.multiply(r, b)
 
 
 def zs_left_divide(D, p, r):
@@ -57,8 +109,8 @@ def zs_left_divide(D, p, r):
     x = D.U.left_divide(u, w)
     if x is None:
         return None
-    v = D.action_inverse(a, x)
-    b = D.A.left_divide(D.restriction(a, v), c)
+    v, s = D.comatching(a, x)
+    b = D.A.left_divide(s, c)
     if b is None:
         return None
     return (v, b)
@@ -90,10 +142,8 @@ def zs_right_lcm(D, p, q):
 def _lift(D, a, b, w, u2, v2):
     """(w, larger restriction) with its complements, for a common
     multiple w = u u2 = v v2 in U; see zs_right_lcm."""
-    x = D.action_inverse(a, u2)
-    y = D.action_inverse(b, v2)
-    r = D.restriction(a, x)
-    s = D.restriction(b, y)
+    x, r = D.comatching(a, u2)
+    y, s = D.comatching(b, v2)
     t = D.A.left_divide(r, s)
     if t is not None:
         return Lcm((w, s), (x, t), (y, D.A.identity))
@@ -151,58 +201,61 @@ def zs_axiom_check(D, u_ball, a_ball):
     """
     report = Report()
     U, A = D.U, D.A
-    act, res = D.action, D.restriction
+    match = D.matching
     eU, eA = U.identity, A.identity
     us = list(u_ball)
     avs = list(a_ball)
+    # matched[i][j] == (a_i·u_j, a_i|_u_j), read by B2/B8, B5/B6 and
+    # bijectivity alike.
+    matched = [[match(a, u) for u in us] for a in avs]
 
     report.add("B1", len(us),
-               [U.display(u) for u in us if act(eA, u) != u])
+               [U.display(u) for u in us if match(eA, u)[0] != u])
     report.add("B3", len(avs),
-               [A.display(a) for a in avs if act(a, eU) != eU])
+               [A.display(a) for a in avs if match(a, eU)[0] != eU])
     report.add("B4", len(avs),
-               [A.display(a) for a in avs if res(a, eU) != a])
+               [A.display(a) for a in avs if match(a, eU)[1] != a])
     report.add("B7", len(us),
-               [U.display(u) for u in us if res(eA, u) != eA])
+               [U.display(u) for u in us if match(eA, u)[1] != eA])
 
     b2, b8 = [], []
     for a in avs:
-        for b in avs:
+        for b, row in zip(avs, matched):
             ab = A.multiply(a, b)
-            for u in us:
-                if act(ab, u) != act(a, act(b, u)):
+            for u, (bu, rb) in zip(us, row):
+                x, r = match(ab, u)
+                y, s = match(a, bu)
+                if x != y:
                     b2.append(f"({A.display(a)},{A.display(b)},{U.display(u)})")
-                if res(ab, u) != A.multiply(res(a, act(b, u)), res(b, u)):
+                if r != A.multiply(s, rb):
                     b8.append(f"({A.display(a)},{A.display(b)},{U.display(u)})")
     n = len(avs) * len(avs) * len(us)
     report.add("B2", n, b2)
     report.add("B8", n, b8)
 
     b5, b6 = [], []
-    for a in avs:
-        for u in us:
-            au = act(a, u)
-            ru = res(a, u)
+    for a, row in zip(avs, matched):
+        for u, (au, ru) in zip(us, row):
             for v in us:
-                uv = U.multiply(u, v)
-                if act(a, uv) != U.multiply(au, act(ru, v)):
+                x, r = match(a, U.multiply(u, v))
+                y, s = match(ru, v)
+                if x != U.multiply(au, y):
                     b5.append(f"({A.display(a)},{U.display(u)},{U.display(v)})")
-                if res(a, uv) != res(ru, v):
+                if r != s:
                     b6.append(f"({A.display(a)},{U.display(u)},{U.display(v)})")
     n = len(avs) * len(us) * len(us)
     report.add("B5", n, b5)
     report.add("B6", n, b6)
 
     bij = []
-    for a in avs:
+    for a, row in zip(avs, matched):
         seen = {}
-        for u in us:
-            au = act(a, u)
+        for u, (au, _r) in zip(us, row):
             prev = seen.get(au)
             if prev is not None and prev != u:
                 bij.append(f"{A.display(a)}:{U.display(prev)},{U.display(u)}")
             seen[au] = u
-            if D.action_inverse(a, au) != u:
+            if D.comatching(a, au)[0] != u:
                 bij.append(f"{A.display(a)}:{U.display(u)}")
     report.add("action-bijective", len(avs) * len(us), bij)
     return report

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup
-from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer,
+from rlcm.core import (DISJOINT, BallTooLarge, BallTooSmall, BruteForcer,
                        IncomparableMultiples, Lcm, ball_from_elements,
                        check_cancellativity_and_lcm, enumerate_ball,
                        lcm_equal_up_to_units)
@@ -47,6 +47,25 @@ def test_ball_monotone_in_radius():
     small = set(enumerate_ball(S, 2))
     big = set(enumerate_ball(S, 3))
     assert small < big
+
+
+def test_a_ball_past_its_limit_is_abandoned_while_it_is_built():
+    S = free_monoid(36)
+    products = []
+
+    def multiply(p, q):
+        products.append(1)
+        return p + q
+
+    counted = dataclasses.replace(S, multiply=multiply)
+    assert len(enumerate_ball(counted, 2, limit=1333)) == 1333
+    del products[:]
+    with pytest.raises(BallTooLarge, match="more than the cap of 1000 "):
+        enumerate_ball(counted, 3, limit=1000)
+    # The 1,333 words of length <= 2 are never all made, let alone the
+    # 46,656 of length 3.
+    assert len(products) < 1333
+    assert issubclass(BallTooLarge, ValueError)
 
 
 def test_brute_lcm_matches_prefix_lcm_on_free_monoid():

@@ -21,8 +21,8 @@ from rlcm.selfsim import (adding_machine, bs_odometer, ftheta_anti_normal,
                           ftheta_min_common_multiples, ftheta_multiply,
                           ftheta_normalize, ftheta_parse, ftheta_right_lcm,
                           ftheta_right_lcm_survey, ftheta_semigroup,
-                          prop_compat_check, ssa_act_word, theta_build,
-                          theta_swap)
+                          odometer_walk, prop_compat_check, ssa_act_word,
+                          theta_build, theta_swap)
 from rlcm.zoo import frac_multiply
 
 
@@ -45,6 +45,22 @@ def test_action_inverse_round_trips():
             for word in ("", "0", "21", "102"):
                 image, _ = ssa_act_word(D, g, word)
                 assert ssa_act_word(D, -g, image)[0] == word
+
+
+def test_odometer_walk_is_the_letterwise_fold_of_act_and_res():
+    # The walk divides once per letter; Odometer.act and Odometer.res stay
+    # the reference that prop_compat_check reads.
+    for c, d in itertools.product(range(1, 5), repeat=2):
+        D = bs_odometer(c, d)
+        words = [w for n in range(5)
+                 for w in itertools.product(range(d), repeat=n)]
+        for k in range(-40, 41):
+            for word in words:
+                out, g = [], k
+                for x in word:
+                    out.append(D.act(g, x))
+                    g = D.res(g, x)
+                assert odometer_walk(D, k, word) == (tuple(out), g)
 
 
 def test_bs_odometer_scales_carries():

@@ -171,3 +171,26 @@ def test_product_operations_are_one_span_each(traced_package, name):
         counts.append([tracer.calls_of(s) for s in spans])
     tracer.recording = False
     assert counts == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
+
+
+@pytest.mark.parametrize("name", ("ftheta:2,3", "nxn"))
+def test_traced_descriptors_read_the_wrapped_fields(traced_package, name):
+    # The tracer rebuilds each descriptor with wrapped fields, so the
+    # product composes its fused maps from them: two zs.matching calls per
+    # product, two per quotient whose U-part divides (none when it does
+    # not), and four per lifted LCM, as when the product read the three
+    # fields one at a time.
+    rl, tracer = traced_package
+    P = rl.zs.zs_semigroup(rl.catalog.get_zs_descriptor(name))
+    p, q = P.generators[0], P.generators[-1]
+    pq = P.multiply(p, q)
+    counts = []
+    tracer.recording = True
+    for op, args in ((P.multiply, (p, q)), (P.left_divide, (p, pq)),
+                     (P.left_divide, (p, P.generators[1])),
+                     (P.right_lcm, (p, q))):
+        before = tracer.calls_of("zs.matching")
+        op(*args)
+        counts.append(tracer.calls_of("zs.matching") - before)
+    tracer.recording = False
+    assert counts == [2, 2, 0, 4]

@@ -225,6 +225,67 @@ def test_cached_matching_equals_the_plain_walk(name):
 
 
 # ---------------------------------------------------------------------------
+# The fused maps.  Every product operation reads the matching as pairs,
+# (a·u, a|_u) and (v, a|_v) with a·v == x; a catalog descriptor takes them
+# from the one pair its fields are views of, and a descriptor with a
+# replaced field composes them from the fields as given.
+
+FIELDS = ("action", "restriction", "action_inverse")
+
+
+@pytest.mark.parametrize("name", EXAMPLE_ZS_NAMES)
+def test_the_fused_maps_agree_with_the_three_fields(name):
+    D = get_zs_descriptor(name)
+    assert D.matching is D.action.__self__.matching
+    assert D.comatching is D.action.__self__.comatching
+    for a in enumerate_ball(D.A, 2):
+        for u in enumerate_ball(D.U, 2):
+            assert D.matching(a, u) == (D.action(a, u), D.restriction(a, u))
+            v = D.action_inverse(a, u)
+            assert D.comatching(a, u) == (v, D.restriction(a, v))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", ("add:2", "nxn", "zxz", "ftheta:2,3"))
+def test_a_replaced_field_is_read_by_every_operation(name, field):
+    base = get_zs_descriptor(name)
+    ball = list(enumerate_ball(zs_semigroup(base), 2))[:20]
+    products = [zs_multiply(base, p, q) for p in ball for q in ball]
+    us, avs = enumerate_ball(base.U, 2), enumerate_ball(base.A, 2)
+    f = getattr(base, field)
+    calls = []
+
+    def spy(a, u):
+        calls.append(1)
+        return f(a, u)
+
+    D = dataclasses.replace(base, **{field: spy})
+    # The product reads a·v and a|_v, the quotient the inverse action and
+    # a|_v, and the axioms all three.
+    for reads, op in (
+            (("action", "restriction"),
+             lambda E: [zs_multiply(E, p, q) for p in ball for q in ball]),
+            (("action_inverse", "restriction"),
+             lambda E: [zs_left_divide(E, p, r) for p in ball
+                        for r in products]),
+            (FIELDS, lambda E: zs_axiom_check(E, us, avs).lines())):
+        del calls[:]
+        assert op(D) == op(base)
+        assert bool(calls) == (field in reads), (reads, field)
+
+
+def test_a_view_in_the_wrong_role_is_read_as_given():
+    # base.action is a view of the same pair as the other two fields, but
+    # not in the role of the inverse: the quotient must read it as given.
+    base = get_zs_descriptor("add:2")
+    mutant = dataclasses.replace(base, action_inverse=base.action)
+    ball = enumerate_ball(zs_semigroup(base), 2)
+    products = [zs_multiply(base, p, q) for p in ball for q in ball]
+    assert any(zs_left_divide(mutant, p, r) != zs_left_divide(base, p, r)
+               for p in ball for r in products)
+
+
+# ---------------------------------------------------------------------------
 # The plain families nxn and zxz answer their right LCMs through their
 # product form, so the split/join pair must be an isomorphism.  (bs:c,d
 # computes through its product form throughout; test_zoo certifies that
