@@ -87,14 +87,13 @@ def affine_compose(f, g):
     if f.is_empty() or g.is_empty():
         return EMPTY
     # need g.b + g.a*t == f.rho (mod f.mu): t = t0 (mod mf)
-    d = math.gcd(g.a, f.mu)
-    if (f.rho - g.b) % d != 0:
+    solved = zoo.congruence(g.a, f.rho - g.b, f.mu)
+    if solved is None:
         return EMPTY
-    mf = f.mu // d
-    t0 = ((f.rho - g.b) // d * pow(g.a // d, -1, mf)) % mf if mf > 1 else 0
+    t0, mf = solved
     return AffinePI(g.rho + g.mu * t0, g.mu * mf,
                     f.b + f.a * ((g.b + g.a * t0 - f.rho) // f.mu),
-                    f.a * (g.a // d))
+                    f.a * (g.a // (f.mu // mf)))
 
 
 def affine_adjoint(f):

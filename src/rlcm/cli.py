@@ -8,12 +8,12 @@ the shared format
 
 and the exit code is 0 when nothing failed, 1 on FAIL or on a found
 counterexample to the right-LCM property, 2 on bad input, work past a
-cap (AXIOM_MAX_CHECKS, RELATIONS_MAX_BASIS) included.  `run` returns the
-exit code for every error it raises itself; an argparse usage error
-raises SystemExit(2), as in any argparse program.  `VERBS` and `FLAGS`
-are the one table of the grammar: `parse` reads a plain request straight
-from them, and builds the argparse parser only for help or a request it
-does not read itself.
+cap (AXIOM_MAX_CHECKS, RELATIONS_MAX_BASIS, FOUNDATION_MAX_BALL)
+included.  `run` returns the exit code for every error it raises itself;
+an argparse usage error raises SystemExit(2), as in any argparse
+program.  `VERBS` and `FLAGS` are the one table of the grammar: `parse`
+reads a plain request straight from them, and builds the argparse
+parser only for help or a request it does not read itself.
 """
 
 from __future__ import annotations
@@ -70,6 +70,10 @@ AXIOM_MAX_CHECKS = 2_000_000
 #: The largest basis `check-relations` builds a product's tables on; the
 #: Li suite's work grows with its cube.
 RELATIONS_MAX_BASIS = 250
+
+#: The largest ball `foundation --mode bounded` sweeps; radius 3 of
+#: free:36 has 47,989 elements.
+FOUNDATION_MAX_BALL = 100_000
 
 
 def _most_balls(n):
@@ -305,8 +309,9 @@ def _dispatch(ns):
         if ns.mode == "exact":
             verdict = is_foundation_set(S, F, "exact")
         else:
-            verdict = is_foundation_set(S, F, "bounded",
-                                        ball=enumerate_ball(S, ns.radius))
+            # Past the cap, BallTooLarge (a ValueError) exits 2.
+            ball = enumerate_ball(S, ns.radius, FOUNDATION_MAX_BALL)
+            verdict = is_foundation_set(S, F, "bounded", ball=ball)
         report = Report()
         report.add("foundation", len(F), [] if verdict.ok else [
             f"{verdict.status}({S.display(verdict.witness)})"])

@@ -405,10 +405,27 @@ def lcm_equal_up_to_units(S, r, s):
     return u is not None and v is not None and S.is_unit(u) and S.is_unit(v)
 
 
-def complements_hold(S, p, q, got):
-    """True iff the Lcm `got` of p and q has p * p_comp == lcm ==
-    q * q_comp."""
-    return (S.multiply(p, got.p_comp) == got.lcm
+def lcm_agrees(S, oracle, p, q):
+    """Whether the closed form `S.right_lcm` of p and q agrees with the
+    brute-force `oracle`, or None when the oracle cannot certify the pair
+    (BallTooSmall).  They agree when both find no common multiple, both
+    raise IncomparableMultiples, or both find LCMs equal up to units; a
+    closed-form LCM must also multiply back from its complements."""
+    try:
+        want = oracle.right_lcm(p, q)
+    except BallTooSmall:
+        return None
+    except IncomparableMultiples:
+        want = IncomparableMultiples
+    try:
+        got = S.right_lcm(p, q)
+    except IncomparableMultiples:
+        got = IncomparableMultiples
+    if not isinstance(got, Lcm):
+        return got is want
+    return (isinstance(want, Lcm)
+            and lcm_equal_up_to_units(S, got.lcm, want.lcm)
+            and S.multiply(p, got.p_comp) == got.lcm
             and S.multiply(q, got.q_comp) == got.lcm)
 
 
@@ -417,11 +434,9 @@ def check_cancellativity_and_lcm(S, ball, lcm_complements=None):
 
     Checks the two-sided identity, associativity and left cancellativity
     on every in-ball pair/triple, and the descriptor's right_lcm against
-    the brute-force oracle on every in-ball pair whose brute search can
-    be certified (BallTooSmall pairs are reported as skipped, never as
-    passes).  The two agree when both find no common multiple, both find
-    LCMs equal up to units, or both raise IncomparableMultiples; a
-    closed-form LCM must also multiply back from its complements.
+    the brute-force oracle (`lcm_agrees`) on every in-ball pair whose
+    brute search can be certified (BallTooSmall pairs are reported as
+    skipped, never as passes).
     """
     report = Report()
     elems = ball.elements
@@ -454,24 +469,9 @@ def check_cancellativity_and_lcm(S, ball, lcm_complements=None):
     mismatches = []
     skipped = 0
     for p, q in itertools.product(elems, repeat=2):
-        try:
-            oracle = brute.right_lcm(p, q)
-        except BallTooSmall:
-            skipped += 1
-            continue
-        except IncomparableMultiples:
-            oracle = IncomparableMultiples
-        try:
-            closed = S.right_lcm(p, q)
-        except IncomparableMultiples:
-            closed = IncomparableMultiples
-        if isinstance(oracle, Lcm) and isinstance(closed, Lcm):
-            same = lcm_equal_up_to_units(S, closed.lcm, oracle.lcm)
-        else:
-            same = oracle is closed
-        if isinstance(closed, Lcm):
-            same = same and complements_hold(S, p, q, closed)
-        if not same:
+        agrees = lcm_agrees(S, brute, p, q)
+        skipped += agrees is None
+        if agrees is False:
             mismatches.append(f"({disp(p)},{disp(q)})")
     report.add("lcm-vs-brute", n * n - skipped, mismatches, escaped=skipped)
     return report

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .core import DISJOINT, IncomparableMultiples, Lcm, Semigroup
 from .report import Report
-from .zoo import LETTERS, frac_right_lcm, read_int
+from .zoo import LETTERS, congruence, frac_right_lcm, read_int
 
 
 @dataclass(frozen=True)
@@ -277,9 +277,7 @@ def ftheta_right_lcm(T, z1, z2):
         for i in range(start, len(radices)):
             b = radices[i]
             c = math.gcd(b, L // g)  # the allowed letters: a class mod c
-            d = 0
-            while (v + d * B - r0) % (g * c):
-                d += 1
+            d, _ = congruence(B, r0 - v, g * c)
             if c < b:
                 fork = (i + 1, v + (d + c) * B, B * b)
             v, B, g = v + d * B, B * b, g * c

@@ -228,21 +228,32 @@ def frac_left_divide(p, r):
     return ((t - a) // x, z // x)
 
 
+def congruence(a, b, m):
+    """The solutions t of a*t == b (mod m), for m >= 1, as (t0, period):
+    every t == t0 (mod period), with 0 <= t0 < period = m / gcd(a, m).
+    None when there is none, i.e. when gcd(a, m) does not divide b."""
+    g = math.gcd(a, m)
+    if b % g:
+        return None
+    period = m // g
+    return b // g * pow(a // g, -1, period) % period, period
+
+
 def frac_right_lcm(p, q):
     """Closed-form right LCM in U.
 
-    The progressions r+xN and s+yN intersect iff g = gcd(x,y) divides
-    s-r; the LCM is then (l, lcm(x,y)) with l the least element of the
-    intersection, l = r + x*j for the j in [0, y/g) given by the Chinese
-    remainder theorem.
+    The progressions r+xN and s+yN intersect iff x*j == s-r (mod y) has
+    a solution; the LCM is then (l, lcm(x,y)) with l = r + x*j the least
+    element of the intersection, for the least solution j in [0, y/g),
+    g = gcd(x,y).
     """
     (r, x), (s, y) = p, q
-    g = math.gcd(x, y)
-    if (s - r) % g:
+    solved = congruence(x, s - r, y)
+    if solved is None:
         return DISJOINT
-    big = x * y // g
-    xp, yp = big // x, big // y
-    j = ((s - r) // g * pow(x // g, -1, xp)) % xp
+    j, xp = solved
+    big = x * xp
+    yp = big // y
     l = r + x * j
     k = (l - s) // y
     # The least-element argument forces the complements back into U.

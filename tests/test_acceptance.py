@@ -17,8 +17,8 @@ from contextlib import redirect_stdout
 from rlcm.catalog import (EXAMPLE_ZS_NAMES, REGISTERED_SELECTORS,
                           get_semigroup, get_zs_descriptor)
 from rlcm.cli import run
-from rlcm.core import (DISJOINT, BallTooSmall, BruteForcer, ball_from_elements,
-                       complements_hold, enumerate_ball, lcm_equal_up_to_units)
+from rlcm.core import (DISJOINT, BruteForcer, Lcm, ball_from_elements,
+                       enumerate_ball, lcm_agrees)
 from rlcm.regrep import RepContext, oracle_check_monomial, verify_relations
 from rlcm.report import FAIL
 from rlcm.selfsim import (adding_machine, ftheta_display,
@@ -64,10 +64,10 @@ def test_axiom_certification_and_mutations():
 
 
 # ---------------------------------------------------------------------------
-# 2. Closed-form right LCMs agree with brute force: exactly on the
-#    progression semigroup for all moduli up to 12, and up to units on
-#    every radius-3 pair of every example product; every closed-form LCM
-#    also multiplies back from its complements.
+# 2. Closed-form right LCMs agree with brute force (`lcm_agrees`) on
+#    the progression semigroup for all moduli up to 12 and on every
+#    radius-3 pair of every example product, and two planted mutants of
+#    the closed form disagree.
 
 
 def test_lcm_closed_forms_match_brute_force():
@@ -78,42 +78,37 @@ def test_lcm_closed_forms_match_brute_force():
     search = ball_from_elements([(t, z) for z in range(1, 145)
                                  for t in range(z)], lambda p: p[1])
     brute = BruteForcer(S, search)
-    bad = 0
-    for p in elems:
-        for q in elems:
-            want = brute.right_lcm(p, q)
-            got = S.right_lcm(p, q)
-            if want is DISJOINT or got is DISJOINT:
-                bad += want is not got
-            else:
-                bad += (want.lcm != got.lcm
-                        or not complements_hold(S, p, q, got))
-    frac_ok = bad == 0
+    bad = sum(lcm_agrees(S, brute, p, q) is not True
+              for p in elems for q in elems)
     n_frac = len(elems) ** 2
 
     pairs = skipped = mismatches = 0
     for name in EXAMPLE_ZS_NAMES:
-        D = get_zs_descriptor(name)
-        P = zs_semigroup(D)
+        P = zs_semigroup(get_zs_descriptor(name))
         ball = enumerate_ball(P, 3)
         oracle = BruteForcer(P, ball, complements=enumerate_ball(P, 6))
         for p in ball:
             for q in ball:
-                pairs += 1
-                try:
-                    want = oracle.right_lcm(p, q)
-                except BallTooSmall:
-                    skipped += 1
-                    continue
-                got = P.right_lcm(p, q)
-                if want is DISJOINT or got is DISJOINT:
-                    mismatches += want is not got
-                elif not (lcm_equal_up_to_units(P, got.lcm, want.lcm)
-                          and complements_hold(P, p, q, got)):
-                    mismatches += 1
-    _record("lcm-vs-oracle", frac_ok and mismatches == 0,
+                agrees = lcm_agrees(P, oracle, p, q)
+                skipped += agrees is None
+                mismatches += agrees is False
+        pairs += len(ball) ** 2
+
+    from test_core import _mutant, _swap
+
+    # Each mutant runs on the smallest ball of frac that catches it: the
+    # swap, and lcm·g with both complements times g (which multiply back).
+    g, mul = S.generators[0], S.multiply
+    caught = 0
+    for radius, change in ((1, _swap), (0, lambda m: Lcm(
+            mul(m.lcm, g), mul(m.p_comp, g), mul(m.q_comp, g)))):
+        M, ball = _mutant(S, change), enumerate_ball(S, radius)
+        caught += any(lcm_agrees(M, brute, p, q) is False
+                      for p in ball for q in ball)
+    _record("lcm-vs-oracle", bad == 0 and mismatches == 0 and caught == 2,
             f"frac-pairs={n_frac} product-pairs={pairs} "
-            f"skipped={skipped} mismatches={bad + mismatches}")
+            f"skipped={skipped} mismatches={bad + mismatches} "
+            f"mutants-caught={caught}/2")
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,10 @@ def test_a_bs_element_past_the_letter_cap_is_refused_before_it_is_built():
       "--suite", "K"],
      "the radius-4 basis of zs:add:36 has more than the cap of "
      f"{cli.RELATIONS_MAX_BASIS} elements"),
+    (["foundation", "--semigroup", "free:36", "--mode", "bounded",
+      "--radius", "4", "0"],
+     "the radius-4 ball of free:36 has more than the cap of "
+     f"{cli.FOUNDATION_MAX_BALL} elements"),
 ])
 def test_work_past_a_cap_is_refused_before_it_starts(monkeypatch, argv,
                                                      message):

@@ -16,7 +16,7 @@ from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup
 from rlcm.core import (DISJOINT, BallTooLarge, BallTooSmall, BruteForcer,
                        IncomparableMultiples, Lcm, ball_from_elements,
                        check_cancellativity_and_lcm, enumerate_ball,
-                       lcm_equal_up_to_units)
+                       lcm_agrees, lcm_equal_up_to_units)
 from rlcm.report import Report
 from rlcm.zoo import free_monoid, nat_add
 
@@ -461,6 +461,43 @@ def test_lcm_equal_up_to_units():
     assert not lcm_equal_up_to_units(S, (0, 2), (0, 4))
 
 
+def _answering(S, answer):
+    """S with a closed form that returns, or raises, answer() for every
+    pair."""
+    return dataclasses.replace(S, right_lcm=lambda p, q: answer())
+
+
+def test_lcm_agrees_escapes_an_uncertified_pair_without_the_closed_form():
+    S = nat_add()
+
+    def unreachable():
+        raise AssertionError("the closed form ran")
+
+    # The LCM 2 of 1 and 2 lies on the boundary of the radius-2 ball.
+    oracle = BruteForcer(S, enumerate_ball(S, 2))
+    assert lcm_agrees(_answering(S, unreachable), oracle, 1, 2) is None
+
+
+def test_lcm_agrees_fails_a_closed_form_incomparable_against_an_lcm():
+    S = nat_add()
+
+    def incomparable():
+        raise IncomparableMultiples(1, 2, [])
+
+    oracle = BruteForcer(S, enumerate_ball(S, 5))
+    assert lcm_agrees(S, oracle, 1, 2) is True
+    assert lcm_agrees(_answering(S, incomparable), oracle, 1, 2) is False
+
+
+def test_lcm_agrees_fails_a_closed_form_lcm_against_disjoint():
+    S = free_monoid(2)
+    oracle = BruteForcer(S, enumerate_ball(S, 3))
+    assert oracle.right_lcm("0", "1") is DISJOINT
+    assert lcm_agrees(S, oracle, "0", "1") is True
+    lying = _answering(S, lambda: Lcm("01", "1", "1"))
+    assert lcm_agrees(lying, oracle, "0", "1") is False
+
+
 def test_law_audit_passes_on_free_and_frac():
     for sel, radius in (("free:2", 3), ("frac", 2)):
         S = get_semigroup(sel)
@@ -493,15 +530,18 @@ def test_law_audit_compares_incomparable_outcomes():
     assert not report.ok
 
 
-def _swapped_complements(S):
-    """S with a right LCM that answers its complements swapped."""
+def _mutant(S, change):
+    """S with a right LCM that passes each Lcm it answers through
+    `change`."""
     def right_lcm(p, q):
         got = S.right_lcm(p, q)
-        if isinstance(got, Lcm):
-            return Lcm(got.lcm, got.q_comp, got.p_comp)
-        return got
+        return change(got) if isinstance(got, Lcm) else got
 
     return dataclasses.replace(S, right_lcm=right_lcm)
+
+
+def _swap(m):
+    return Lcm(m.lcm, m.q_comp, m.p_comp)
 
 
 @pytest.mark.parametrize("selector, radius, complements, witness", [
@@ -520,7 +560,7 @@ def test_law_audit_checks_the_complements(selector, radius, complements,
                if c.suite == "lcm-vs-brute"]
     assert fair.failed == 0 and fair.checked > 0
     (audit,) = [c for c in check_cancellativity_and_lcm(
-        _swapped_complements(S), ball, comps).checks
+        _mutant(S, _swap), ball, comps).checks
         if c.suite == "lcm-vs-brute"]
     assert audit.checked == fair.checked and audit.escaped == fair.escaped
     assert audit.failed > 0 and audit.witnesses[0] == witness

@@ -12,12 +12,27 @@ from hypothesis import strategies as st
 from rlcm.catalog import (bs_semigroup, get_semigroup, nxn_semigroup,
                           zxz_semigroup)
 from rlcm.core import DISJOINT, enumerate_ball
-from rlcm.zoo import (DigitLimit, ParseError, bs_display, digit_count,
-                      frac_right_lcm, frac_semigroup, free_monoid, int_add,
-                      nat_add, zsign_group, zxz_decompose)
+from rlcm.zoo import (DigitLimit, ParseError, bs_display, congruence,
+                      digit_count, frac_right_lcm, frac_semigroup,
+                      free_monoid, int_add, nat_add, zsign_group,
+                      zxz_decompose)
 
 # ---------------------------------------------------------------------------
 # frac: the semigroup of arithmetic progressions (r, x) = r + xN.
+
+
+def test_congruence_matches_brute_force():
+    for a in (*range(-12, 0), *range(1, 13)):
+        for m in range(1, 25):
+            for b in range(-2 * m, 2 * m + 1):
+                solutions = [t for t in range(m) if (a * t - b) % m == 0]
+                got = congruence(a, b, m)
+                if not solutions:
+                    assert got is None, (a, b, m)
+                    continue
+                t0, period = got
+                assert t0 < period and solutions == list(
+                    range(t0, m, period)), (a, b, m)
 
 
 def test_frac_lcm_worked_examples():
