@@ -262,7 +262,7 @@ def _suite_table(name):
     list, and no instance is computed before its thunk is called."""
     if name == "Q2" or name.startswith("BS1n:"):
         d = 2 if name == "Q2" else catalog.ints(name, name[5:], "d")[0]
-        if d < 2:
+        if not 2 <= d <= len(zoo.LETTERS):
             raise UnknownModel(name)
         return _affine_suites(catalog.add_zs(d), [zoo.LETTERS[:d]], (1,))
     fracs = [[(r, x) for r in range(x)] for x in QN_PRIMES]

@@ -54,22 +54,20 @@ def walked_zs(name, U, A, walk):
     return fused_zs(name, U, A, walk, functools.cache(comatching))
 
 
-def ssa_zs_descriptor(D, name):
-    """X* ⋈ N from an odometer D on the digit letters X."""
-    return walked_zs(name, zoo.free_monoid(D.d), zoo.nat_add(),
-                     lambda a, u: ssa_act_word(D, a, u))
-
-
 def add_zs(n):
     """X* ⋈ N for the base-n adding machine: the matching of bs:1,n."""
-    return ssa_zs_descriptor(adding_machine(n), f"add:{n}")
+    D = adding_machine(n)
+    return walked_zs(f"add:{n}", zoo.free_monoid(n), zoo.nat_add(),
+                     lambda a, u: ssa_act_word(D, a, u))
 
 
 def bs_zs(c, d):
     """The product form of BS(c,d)+: the free monoid on the d letters
     b^k a (written as digits k) matched with the powers of b, where a
     carry past the top letter costs b^c."""
-    return ssa_zs_descriptor(bs_odometer(c, d), f"bs:{c},{d}")
+    D = bs_odometer(c, d)
+    return walked_zs(f"bs:{c},{d}", zoo.free_monoid(d), zoo.nat_add(),
+                     lambda a, u: ssa_act_word(D, a, u))
 
 
 def nxn_zs():

@@ -27,7 +27,7 @@ from . import boundary, catalog, zoo
 from .core import (DISJOINT, BallTooLarge, IncomparableMultiples,
                    enumerate_ball)
 from .report import FAIL, Report
-from .selfsim import ftheta_right_lcm_survey, theta_build
+from .selfsim import ftheta_display, ftheta_right_lcm_survey, theta_build
 from .star import VV, is_foundation_set, mono_display, word_normalize
 from .zs import zs_axiom_check, zs_semigroup
 
@@ -328,7 +328,6 @@ def _dispatch(ns):
         if verdict.ok:
             report.add("survey-ftheta", verdict.checked_pairs, [])
         else:
-            from .selfsim import ftheta_display
             z1, z2 = verdict.pair
             t1, t2 = verdict.multiples
             report.add("survey-ftheta", verdict.checked_pairs,

@@ -14,14 +14,13 @@ elements have unique X*Y* normal forms of a well-defined bidegree.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import DISJOINT, IncomparableMultiples, Lcm, Semigroup
 from .report import Report
-from .zoo import LETTERS, congruence, frac_right_lcm, read_int
+from .zoo import LETTERS, frac_right_lcm, read_int
 
 
 @dataclass(frozen=True)
@@ -97,9 +96,6 @@ class ThetaTable:
             raise ValueError("table is not a bijection")
         self.x_pushes = {}
         self.y_pushes = {}
-
-    def theta(self, j, i):
-        return self.table[(j, i)]
 
 
 def theta_build(m, n):
@@ -249,15 +245,13 @@ def ftheta_decode(T, r, p, q):
 
 
 def ftheta_right_lcm(T, z1, z2):
-    """Right LCM of z1 and z2, or IncomparableMultiples carrying the
-    first two minimal common multiples in letter order (x-letters, then
-    y-letters, each from the left, as ftheta_min_common_multiples lists
-    them).  Embedded, the minimal ones are the r < N = m^P n^Q at the
-    joined bidegree (P, Q) in the class r0 mod L = lcm(M1, M2) that
-    frac_right_lcm solves: N / L of them.  One (always, for coprime
+    """Right LCM of z1 and z2, or IncomparableMultiples carrying the two
+    least minimal common multiples by embedded value.  Embedded, the
+    minimal ones are the r < N = m^P n^Q at the joined bidegree (P, Q)
+    in the class r0 mod L = lcm(M1, M2) that frac_right_lcm solves, with
+    0 <= r0 < L: N / L of them, as L divides N.  One (always, for coprime
     sizes) is the LCM, decoded with its complements at their known
-    bidegrees.  Of more, the first two are chosen a letter at a time: a
-    prefix fixing r mod B extends iff it is r0 mod gcd(B, L)."""
+    bidegrees; of more, the least two are r0 and r0 + L."""
     got = frac_right_lcm(ftheta_embed(T, z1), ftheta_embed(T, z2))
     if got is DISJOINT:
         return DISJOINT
@@ -268,25 +262,8 @@ def ftheta_right_lcm(T, z1, z2):
         return Lcm(ftheta_decode(T, r0, P, Q),
                    ftheta_decode(T, got.p_comp[0], P - p1, Q - q1),
                    ftheta_decode(T, got.q_comp[0], P - p2, Q - q2))
-    radices = [T.m] * P + [T.n] * Q
-
-    def least(start, v, B):
-        # The least completion of a prefix fixing r == v (mod B), and the
-        # state after the next-least letter at its last choice.
-        g, fork = math.gcd(B, L), None
-        for i in range(start, len(radices)):
-            b = radices[i]
-            c = math.gcd(b, L // g)  # the allowed letters: a class mod c
-            d, _ = congruence(B, r0 - v, g * c)
-            if c < b:
-                fork = (i + 1, v + (d + c) * B, B * b)
-            v, B, g = v + d * B, B * b, g * c
-        return v, fork
-
-    first, fork = least(0, 0, 1)
-    second, _ = least(*fork)
     raise IncomparableMultiples(z1, z2, [ftheta_decode(T, r, P, Q)
-                                         for r in (first, second)])
+                                         for r in (r0, r0 + L)])
 
 
 def ftheta_semigroup(m, n):
@@ -328,10 +305,10 @@ def prop_compat_check(T, D_X, D_Y, g_range):
     for g in gs:
         for j in range(T.n):
             for i in range(T.m):
-                i1, j1 = T.theta(j, i)
+                i1, j1 = T.table[(j, i)]
                 gy = D_Y.act(g, j)
                 gx = D_X.act(D_Y.res(g, j), i)
-                i2, j2 = T.theta(gy, gx)
+                i2, j2 = T.table[(gy, gx)]
                 spot = f"(g={g!r},y{j},x{i})"
                 if D_X.act(-g, i2) != i1:
                     bad_x.append(spot)

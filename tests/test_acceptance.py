@@ -147,7 +147,7 @@ def test_lcm_unit_ambiguity_in_affine_z():
 # ---------------------------------------------------------------------------
 # 4. The product presentations hold in the truncated regular
 #    representation, and the monomial calculus matches the operator
-#    picture word by word.
+#    picture word by word; two planted wrong LCMs are caught.
 
 
 def test_presentation_relations_and_monomial_oracle():
@@ -189,8 +189,23 @@ def test_presentation_relations_and_monomial_oracle():
         n_words += len(words)
         total_bad += check_words(P, pool, words)
 
-    _record("presentation-equivalence", suites_ok and total_bad == 0,
-            f"words={n_words} bad={total_bad}")
+    from test_core import _mutant, _swap
+    from test_regrep import _wrong_lcm
+
+    # Each mutant runs on the smallest input that catches it: the word
+    # oracle against an LCM padded by a letter, and the covariance suite
+    # against a right LCM in U with swapped complements.
+    S = get_semigroup("free:2")
+    ctx = RepContext(S, enumerate_ball(S, 3))
+    caught = bool(oracle_check_monomial(
+        _wrong_lcm(S), [("0", True), ("01", False)], ctx)[2])
+    D = get_zs_descriptor("nxn")
+    swapped = dataclasses.replace(D, U=_mutant(D.U, _swap))
+    caught += any(c.status == FAIL for c in verify_relations(
+        swapped, radius=1, suite="covariance").checks)
+    _record("presentation-equivalence",
+            suites_ok and total_bad == 0 and caught == 2,
+            f"words={n_words} bad={total_bad} mutants-caught={caught}/2")
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +227,25 @@ def test_boundary_relation_suites():
 
 # ---------------------------------------------------------------------------
 # 6. The generator assignments between the quotient models hold as exact
-#    affine identities.
+#    affine identities, and a planted wrong generator fails them.
 
 
-def test_model_generator_maps():
-    from rlcm.boundary import verify_model_isomorphisms
+def test_model_generator_maps(monkeypatch):
+    from rlcm import boundary
 
-    report = verify_model_isomorphisms()
+    report = boundary.verify_model_isomorphisms()
     counts = {c.suite: c.checked for c in report.checks}
-    ok = (report.ok
+
+    # Planted defect: QN's s shifts by two.
+    build = boundary.build_model
+    monkeypatch.setattr(boundary, "build_model", lambda name: (
+        {**build(name), "s": boundary.shift(2)} if name == "QN"
+        else build(name)))
+    caught = int(any(c.suite == "QN-NxN" and c.status == FAIL
+                     for c in boundary.verify_model_isomorphisms().checks))
+    ok = (report.ok and caught == 1
           and counts == {"QN-NxN": 78, "QZ-ZxZ": 12, "Q2-BS12": 2})
-    _record("model-generator-maps", ok, str(counts))
+    _record("model-generator-maps", ok, f"{counts} mutants-caught={caught}/1")
 
 
 # ---------------------------------------------------------------------------

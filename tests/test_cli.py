@@ -295,7 +295,9 @@ def test_unknown_names_are_errors_that_name_them(monkeypatch):
             (["check-axioms", "--semigroup", "zs:add"],
              "unknown semigroup selector 'zs:add'"),
             (["check-relations", "--model", "BS1n:1"],
-             "unknown model 'BS1n:1'")):
+             "unknown model 'BS1n:1'"),
+            (["check-relations", "--model", "BS1n:37"],
+             "unknown model 'BS1n:37'")):
         err = io.StringIO()
         with redirect_stderr(err):
             assert _run(argv) == (2, "")
@@ -343,6 +345,33 @@ def test_unknown_names_are_errors_that_name_them(monkeypatch):
     (["survey-ftheta", "--semigroup", "ftheta:1,3"],
      "ftheta:1,3 needs m,n >= 2"),
     (["decompose", "--semigroup", "bs:2,0", "a"], "bs:2,0 needs c,d >= 1"),
+    # Every other refusal of a request exits 2 with its own message too.
+    (["normalize", "--semigroup", "nat", "x(1)"],
+     "bad token 'x(1)' (at position 0)"),
+    (["normalize", "--semigroup", "nat", "e(1)*"],
+     "projections are self-adjoint; no * (at position 0)"),
+    (["mul", "(1,2)"], "--semigroup is required for mul"),
+    (["check-axioms", "--semigroup", "nxn"],
+     "check-axioms needs a zs:<name> selector"),
+    (["check-relations", "--semigroup", "nxn"],
+     "check-relations needs --model or zs:<name>"),
+    (["survey-ftheta", "--semigroup", "nxn"],
+     "survey-ftheta needs an ftheta:m,n selector"),
+    (["mul", "--semigroup", "ftheta:2,3", "x0"],
+     "expected 'x…x.y…y', got 'x0'"),
+    (["mul", "--semigroup", "ftheta:2,3", "z0."], "bad x-letter near 'z0'"),
+    (["mul", "--semigroup", "ftheta:2,3", "x5."],
+     "letter x5 out of range (< 2)"),
+    (["mul", "--semigroup", "zs:nxn", "(0,1)"],
+     "expected '(u ; a)', got '(0,1)'"),
+    (["mul", "--semigroup", "nxn", "(0,0)"],
+     "need m >= 0 and a >= 1 (at position 0)"),
+    (["mul", "--semigroup", "zxz", "(0,0)"],
+     "multiplier must be nonzero (at position 0)"),
+    (["normalize", "--semigroup", "zs:zxz", "s((1,2))"],
+     "second component must be 1 or -1 (at position 0)"),
+    (["check-axioms", "--semigroup", "zs:nxn", "--radius=-1"],
+     "radius must be >= 0"),
 ])
 def test_a_malformed_integer_names_its_selector_or_flag(argv, message):
     err = io.StringIO()

@@ -75,11 +75,11 @@ def test_bs_odometer_scales_carries():
 
 def test_standard_table_values():
     T = theta_build(2, 3)
-    assert T.theta(1, 1) == (0, 2)  # y1 x1 = x0 y2
+    assert T.table[(1, 1)] == (0, 2)  # y1 x1 = x0 y2
     T22 = theta_build(2, 2)
     for j in range(2):
         for i in range(2):
-            assert T22.theta(j, i) == (j, i)  # the flip table
+            assert T22.table[(j, i)] == (j, i)  # the flip table
 
 
 def test_table_must_be_a_bijection():
@@ -173,6 +173,11 @@ def _all_words(T, max_bidegree):
                     yield (xs, ys)
 
 
+def _least_two(T, words):
+    """The two least of `words` (of one bidegree) by embedded value."""
+    return sorted(words, key=lambda z: ftheta_embed(T, z)[0])[:2]
+
+
 @pytest.mark.parametrize("m, n, box", [
     pytest.param(2, 3, (2, 2), id="2,3"),
     pytest.param(2, 2, (2, 2), id="2,2"),
@@ -193,7 +198,7 @@ def test_closed_lcm_matches_minimal_common_multiples(m, n, box):
             except IncomparableMultiples as e:
                 incomparable += 1
                 assert (e.p, e.q) == (z1, z2)
-                assert e.witnesses == minimal[:2]
+                assert e.witnesses == _least_two(T, minimal)
                 assert len(minimal) >= 2
                 continue
             if got is DISJOINT:
@@ -204,6 +209,24 @@ def test_closed_lcm_matches_minimal_common_multiples(m, n, box):
                 assert ftheta_multiply(T, z2, got.q_comp) == got.lcm
     # Two minimal multiples occur exactly when the sizes share a factor.
     assert (incomparable > 0) == (math.gcd(m, n) > 1)
+
+
+def test_witnesses_are_the_two_least_minimal_multiples():
+    # Over every pair of four balls, each counterexample the closed form
+    # raises carries the two least minimal common multiples by embedded
+    # value, as the exhaustive search at the joined bidegree finds them.
+    raised = 0
+    for m, n, radius in ((2, 2, 3), (2, 4, 3), (4, 6, 2), (3, 6, 2)):
+        T = theta_build(m, n)
+        ball = enumerate_ball(ftheta_semigroup(m, n), radius)
+        for z1, z2 in itertools.product(ball, repeat=2):
+            try:
+                ftheta_right_lcm(T, z1, z2)
+            except IncomparableMultiples as e:
+                raised += 1
+                minimal = ftheta_min_common_multiples(T, z1, z2)
+                assert e.witnesses == _least_two(T, minimal), (z1, z2)
+    assert raised == 2504
 
 
 @functools.cache
@@ -234,32 +257,72 @@ def test_noncoprime_lcm_agrees_with_the_oracle(data):
         want = _outcome(oracle.right_lcm, z1, z2)
     except BallTooSmall:
         return
-    assert _outcome(oracle.S.right_lcm, z1, z2) == want
+    got = _outcome(oracle.S.right_lcm, z1, z2)
+    if not isinstance(want, tuple):
+        assert got == want
+        return
+    # Both sides raise: the closed form with the two least minimal
+    # multiples, the oracle with two of the same minimal multiples.
+    T = theta_build(m, n)
+    minimal = ftheta_min_common_multiples(T, z1, z2)
+    assert got == ("incomparable", _least_two(T, minimal))
+    assert set(want[1]) <= set(minimal)
 
 
 def test_noncoprime_lcm_is_decided_without_searching(monkeypatch):
     # On ftheta:4,6, x0. has 6^10 complements at the join bidegree with
     # .y0^10; the closed form reads both minimal multiples off without
-    # multiplying or dividing a single word.
+    # multiplying or dividing a single word.  Against .y0^k, k >= 2, the
+    # embeddings are the two least of the class 0 mod L = lcm(4, 6^k) =
+    # 6^k: 0, and L, which is x0 followed by y-letters spelling
+    # L / 4 = 9 * 6^(k-2) in base 6, least significant first, as the
+    # exhaustive search confirms at small k.
+    def least_two(k):
+        return ["x0." + "y0" * k, "x0." + "y0" * (k - 2) + "y3y1"]
+
+    T = theta_build(4, 6)
+    for k in (2, 3):
+        minimal = ftheta_min_common_multiples(
+            T, ftheta_parse(T, "x0."), ftheta_parse(T, "." + "y0" * k))
+        assert list(map(ftheta_display, _least_two(T, minimal))) == (
+            least_two(k))
+
     def refuse(*args):
         raise AssertionError("searched the complements")
 
     monkeypatch.setattr(selfsim, "ftheta_left_divide", refuse)
     monkeypatch.setattr(selfsim, "ftheta_multiply", refuse)
-    T = theta_build(4, 6)
     z1, z2 = ftheta_parse(T, "x0."), ftheta_parse(T, "." + "y0" * 10)
     for p, q in ((z1, z2), (z2, z1)):
         with pytest.raises(IncomparableMultiples) as e:
             ftheta_right_lcm(T, p, q)
         assert (e.value.p, e.value.q) == (p, q)
-        assert [ftheta_display(w) for w in e.value.witnesses] == [
-            "x0." + "y0" * 10, "x0." + "y0" * 9 + "y3"]
+        assert [ftheta_display(w) for w in e.value.witnesses] == (
+            least_two(10))
 
 
 def test_lcm_of_long_operands_sticking_out_is_read_off(monkeypatch):
     # On ftheta:4,6, x0.y0^k and x0^k.y0 have 4^(k-1) and 6^(k-1)
     # candidate complements at the join bidegree (k, k); the closed form
-    # multiplies and divides no words at all.
+    # multiplies and divides no words at all.  The two least minimal
+    # multiples embed as 0 and L = lcm(4 * 6^k, 4^k * 6) = 2^(2k+1) 3^k:
+    # x0^k, then y-letters spelling L / 4^k = 2 * 3^k in base 6, least
+    # significant first, as the exhaustive search confirms at small k.
+    def least_two(k):
+        v, second = 2 * 3 ** k, "x0" * k + "."
+        for _ in range(k):
+            v, digit = divmod(v, 6)
+            second += f"y{digit}"
+        return [f"{'x0' * k}.{'y0' * k}", second]
+
+    T = theta_build(4, 6)
+    for k in (2, 3):
+        z1, z2 = ftheta_parse(T, "x0." + "y0" * k), ftheta_parse(
+            T, "x0" * k + ".y0")
+        minimal = ftheta_min_common_multiples(T, z1, z2)
+        assert list(map(ftheta_display, _least_two(T, minimal))) == (
+            least_two(k))
+
     def refuse(*args):
         raise AssertionError("searched the complements")
 
@@ -270,9 +333,8 @@ def test_lcm_of_long_operands_sticking_out_is_read_off(monkeypatch):
     with redirect_stdout(buf):
         code = run(["lcm", "--semigroup", "ftheta:4,6",
                     "x0." + "y0" * k, "x0" * k + ".y0"])
-    multiple = "x0" * k + "." + "y0" * k
     assert (code, buf.getvalue()) == (
-        1, f"incomparable {multiple} {multiple[:-2]}y3\n")
+        1, "incomparable {} {}\n".format(*least_two(k)))
 
 
 # ---------------------------------------------------------------------------

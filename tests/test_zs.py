@@ -10,10 +10,11 @@ from rlcm.catalog import (EXAMPLE_ZS_NAMES, get_semigroup, get_zs_descriptor,
                           product_form)
 from rlcm.core import DISJOINT, IncomparableMultiples, enumerate_ball
 from rlcm.report import FAIL
-from rlcm.selfsim import (adding_machine, bs_odometer,
+from rlcm.selfsim import (adding_machine, bs_odometer, ftheta_embed,
                           ftheta_min_common_multiples, theta_build)
-from rlcm.zs import (HypothesisViolation, ZSDescriptor, zs_axiom_check,
-                     zs_left_divide, zs_multiply, zs_right_lcm, zs_semigroup)
+from rlcm.zs import (HypothesisViolation, ZSDescriptor, _lift,
+                     zs_axiom_check, zs_left_divide, zs_multiply,
+                     zs_right_lcm, zs_semigroup)
 from rlcm.zoo import free_monoid, nat_add
 
 
@@ -97,7 +98,11 @@ def test_incomparable_multiples_in_u_lift_to_the_product():
             assert P.left_divide(q, w) is not None
         assert P.left_divide(w1, w2) is None
         assert P.left_divide(w2, w1) is None
-        assert [w1[0], w2[0]] == minimal[:2]
+        least = sorted(minimal, key=lambda z: ftheta_embed(T, z)[0])[:2]
+        assert [w1, w2] == [_lift(D, p[1], q[1], w,
+                                  D.U.left_divide(p[0], w),
+                                  D.U.left_divide(q[0], w)).lcm
+                            for w in least]
     assert raised > 0
 
 
