@@ -9,23 +9,27 @@ the shared format
 and the exit code is 0 when nothing failed, 1 on FAIL or on a found
 counterexample to the right-LCM property, 2 on bad input, work past a
 cap (AXIOM_MAX_CHECKS, RELATIONS_MAX_BASIS, FOUNDATION_MAX_BALL)
-included.  `run` returns the exit code for every error it raises itself;
-an argparse usage error raises SystemExit(2), as in any argparse
-program.  `VERBS` and `FLAGS` are the one table of the grammar: `parse`
-reads a plain request straight from them, and builds the argparse
-parser only for help or a request it does not read itself.
+included, and 141 (128 + SIGPIPE), with nothing on stderr, when standard
+output is closed before the answer is written.  `run` returns the exit
+code for every error it raises itself; an argparse usage error raises
+SystemExit(2), as in any argparse program.  `VERBS` and `FLAGS` are the
+one table of the grammar: `parse` reads a plain request straight from
+them, and builds the argparse parser only for help or a request it does
+not read itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
 from . import boundary, catalog, zoo
 from .core import (DISJOINT, BallTooLarge, IncomparableMultiples,
                    enumerate_ball)
+from .regrep import SUITES, verify_relations
 from .report import FAIL, Report
 from .selfsim import ftheta_display, ftheta_right_lcm_survey, theta_build
 from .star import VV, is_foundation_set, mono_display, word_normalize
@@ -284,7 +288,6 @@ def _dispatch(ns):
         sel = _need(ns, "semigroup")
         if not sel.startswith("zs:"):
             raise ValueError("check-relations needs --model or zs:<name>")
-        from .regrep import SUITES, verify_relations
         unknown = sorted(set(suites or ()) - set(SUITES))
         if unknown:
             raise ValueError(f"{sel} has no suite {', '.join(unknown)}")
@@ -349,7 +352,15 @@ def _dispatch(ns):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads the answer: point stdout at devnull, so that the
+        # flush at exit fails no more, and exit as a SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,21 +2,21 @@
 ball of the monoid as the partial injection q -> pq, with the adjoint
 acting by left division.
 
-Operators are integer code arrays over a ball taken as the basis.  A
+Operators are tuples of integer codes over a ball taken as the basis.  A
 code >= 0 is the position (`Ball.index`) of the image; KILLED_CODE marks
 a vector genuinely outside the domain (decided inside the ball), and
 ESCAPED_CODE one whose true image exists but lies outside the ball.
-Escaped is sticky through composition, and escaped vectors are never
-counted as evidence for or against a relation.  Whole-basis composition
-and comparison are single vectorized steps.
+Every code tuple ends in `TAIL`, so indexing by code -2 reads escaped and
+by -1 reads killed: composition is one lookup per code, and escaped and
+killed stay sticky through it.  Escaped vectors are never counted as
+evidence for or against a relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import itemgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import DISJOINT, enumerate_ball
 from .report import Report
@@ -25,6 +25,8 @@ from .zs import zs_semigroup
 
 KILLED_CODE = -1
 ESCAPED_CODE = -2
+#: The last two entries of every code tuple: code c < 0 reads entry c.
+TAIL = (ESCAPED_CODE, KILLED_CODE)
 
 
 class PartialInjectionTable(NamedTuple):
@@ -32,45 +34,36 @@ class PartialInjectionTable(NamedTuple):
 
     `fwd[i]` is the code of the image of basis element i; `bwd` is the
     same data for the inverse map, including its own escape bookkeeping,
-    so the adjoint is a constant-time view.
+    so the adjoint is a constant-time view.  Both end in `TAIL`.
     """
 
-    fwd: np.ndarray
-    bwd: np.ndarray
+    fwd: tuple
+    bwd: tuple
 
 
 def rep_generator(S, p, basis):
     """The table of q -> pq on the ball `basis`, with escapes computed on
     both sides."""
-    n = len(basis)
-    fwd = np.full(n, KILLED_CODE, dtype=np.int64)
-    bwd = np.full(n, KILLED_CODE, dtype=np.int64)
-    for i, q in enumerate(basis.elements):
-        pq = S.multiply(p, q)
-        j = basis.index.get(pq)
-        if j is None:
-            fwd[i] = ESCAPED_CODE
-        else:
-            fwd[i] = j
+    multiply, index = S.multiply, basis.index
+    fwd = [index.get(multiply(p, q), ESCAPED_CODE) for q in basis.elements]
+    bwd = [KILLED_CODE] * len(basis)
+    for i, j in enumerate(fwd):
+        if j >= 0:
             bwd[j] = i
     for j, r in enumerate(basis.elements):
-        if bwd[j] == KILLED_CODE:
-            s = S.left_divide(p, r)
-            if s is not None:
-                # r has a genuine preimage, but it lies outside the ball.
-                bwd[j] = ESCAPED_CODE
-    return PartialInjectionTable(fwd, bwd)
+        if bwd[j] == KILLED_CODE and S.left_divide(p, r) is not None:
+            # r has a genuine preimage, but it lies outside the ball.
+            bwd[j] = ESCAPED_CODE
+    return PartialInjectionTable(tuple(fwd) + TAIL, tuple(bwd) + TAIL)
 
 
 # ---------------------------------------------------------------------------
-# Whole-basis operator arrays.
+# Whole-basis operator tuples.
 
 def op_compose(left, right):
-    """left ∘ right on code arrays; right acts first, Escaped is sticky."""
-    out = right.copy()
-    mask = right >= 0
-    out[mask] = left[right[mask]]
-    return out
+    """left ∘ right on code tuples; right acts first, and its negative
+    codes read left's tail, so escaped and killed are sticky."""
+    return itemgetter(*right)(left)
 
 
 def op_word(ops):
@@ -81,20 +74,30 @@ def op_word(ops):
 
 
 def op_identity(n):
-    return np.arange(n, dtype=np.int64)
+    return tuple(range(n)) + TAIL
 
 
 def op_zero(n):
-    return np.full(n, KILLED_CODE, dtype=np.int64)
+    return (KILLED_CODE,) * n + TAIL
 
 
 def op_compare(basis, F, G):
     """(compared, escaped, witness indices): vectors escaped on either
     side are excluded; all others must carry identical outcomes."""
-    esc = (F == ESCAPED_CODE) | (G == ESCAPED_CODE)
-    bad = ~esc & (F != G)
-    n_esc = int(esc.sum())
-    return len(basis) - n_esc, n_esc, np.flatnonzero(bad)
+    n = len(basis)
+    if F == G:
+        escaped = F.count(ESCAPED_CODE) - 1  # the tail's own entry
+        return n - escaped, escaped, []
+    escaped = 0
+    bad = []
+    for i, f, g in zip(range(n), F, G):
+        if f == g:
+            escaped += f == ESCAPED_CODE
+        elif f == ESCAPED_CODE or g == ESCAPED_CODE:
+            escaped += 1
+        else:
+            bad.append(i)
+    return n - escaped, escaped, bad
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +202,10 @@ def verify_relations(D, radius=3, suite="Li", max_basis=None):
     disp = P.display
 
     def tag2(p, q):
-        return f"({disp(p)},{disp(q)})"
+        return lambda: f"({disp(p)},{disp(q)})"
 
     if suite == "Li":
+        identity = op_identity(len(basis))
         _family(report, "L1", basis, disp,
                 ((op_compose(ctx.op(p), ctx.op(q)), ctx.op(P.multiply(p, q)),
                   tag2(p, q)) for p in basis for q in basis))
@@ -210,14 +214,14 @@ def verify_relations(D, radius=3, suite="Li", max_basis=None):
                   ctx.proj(P.multiply(p, q)), tag2(p, q))
                  for p in basis for q in basis))
         _family(report, "L3", basis, disp,
-                [(ctx.proj(P.identity), op_identity(len(basis)), "e")])
+                [(ctx.proj(P.identity), identity, lambda: "e")])
         _family(report, "L4", basis, disp,
                 ((op_compose(ctx.proj(p), ctx.proj(q)),
                   _meet_proj(P, ctx, p, q), tag2(p, q))
                  for p in basis for q in basis))
         _family(report, "isometry", basis, disp,
-                ((op_compose(ctx.op_star(p), ctx.op(p)),
-                  op_identity(len(basis)), disp(p)) for p in basis))
+                ((op_compose(ctx.op_star(p), ctx.op(p)), identity,
+                  lambda p=p: disp(p)) for p in basis))
     elif suite == "covariance":
         def rhs(p, q):
             got = P.right_lcm(p, q)
@@ -239,10 +243,13 @@ def verify_relations(D, radius=3, suite="Li", max_basis=None):
         def s_tab(a):
             return ctx.table((eU, a))
 
+        def tag_k(a, u):
+            return lambda: f"(a={D.A.display(a)},u={D.U.display(u)})"
+
         k1, k2 = [], []
         for a in ball_a:
             for u in ball_u:
-                tag = f"(a={D.A.display(a)},u={D.U.display(u)})"
+                tag = tag_k(a, u)
                 au, r = D.matching(a, u)
                 k1.append((op_compose(s_tab(a).fwd, t_op(u)),
                            op_compose(t_op(au), s_tab(r).fwd), tag))
@@ -264,14 +271,17 @@ def _meet_proj(P, ctx, p, q):
 
 
 def _family(report, name, basis, display, instances):
+    """Compare each (lhs, rhs, tag) instance; `tag` is a thunk, called
+    only for an instance that fails."""
     compared = escaped = 0
     witnesses = []
     for lhs, rhs, tag in instances:
         c, e, bad = op_compare(basis, lhs, rhs)
         compared += c
         escaped += e
-        if len(bad):
-            witnesses.append(f"{name}{tag}@{display(basis.elements[bad[0]])}")
+        if bad:
+            witnesses.append(
+                f"{name}{tag()}@{display(basis.elements[bad[0]])}")
     report.add(name, compared, witnesses, escaped=escaped)
 
 
@@ -290,7 +300,7 @@ def monomial_op(S, mono, basis, quotients=None):
         for i, s in enumerate(quotients):
             if s is not None:
                 out[i] = index.get(S.multiply(mono.p, s), ESCAPED_CODE)
-    return np.array(out, dtype=np.int64)
+    return tuple(out) + TAIL
 
 
 def oracle_check_monomial(S, tokens, ctx):

@@ -14,7 +14,7 @@ so equality goes through `mono_equal`, never through `==` on indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .core import DISJOINT, IncomparableMultiples, enumerate_ball
 from .zs import zs_semigroup
@@ -36,8 +36,7 @@ class _Zero:
 ZERO = _Zero()
 
 
-@dataclass(frozen=True)
-class VV:
+class VV(NamedTuple):
     """The monomial v_p v_q*."""
 
     p: Any

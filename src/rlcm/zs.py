@@ -233,12 +233,18 @@ def zs_axiom_check(D, u_ball, a_ball):
     report.add("B2", n, b2)
     report.add("B8", n, b8)
 
+    # Each uv is computed once, and match(r, v) for every v is read from
+    # one row per distinct restriction r, the rows of `matched` included.
+    products = [[U.multiply(u, v) for v in us] for u in us]
+    by_restriction = dict(zip(avs, matched))
     b5, b6 = [], []
     for a, row in zip(avs, matched):
-        for u, (au, ru) in zip(us, row):
-            for v in us:
-                x, r = match(a, U.multiply(u, v))
-                y, s = match(ru, v)
+        for u, (au, ru), uvs in zip(us, row, products):
+            r_row = by_restriction.get(ru)
+            if r_row is None:
+                r_row = by_restriction[ru] = [match(ru, v) for v in us]
+            for v, uv, (y, s) in zip(us, uvs, r_row):
+                x, r = match(a, uv)
                 if x != U.multiply(au, y):
                     b5.append(f"({A.display(a)},{U.display(u)},{U.display(v)})")
                 if r != s:

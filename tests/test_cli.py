@@ -464,19 +464,69 @@ def _python(*args):
 
 
 def test_cli_start_up_does_not_load_numpy():
-    # The CLI's right LCMs are exact; only the complement-mode oracle and
-    # the operator tables of check-relations need numpy.
+    # The CLI's right LCMs are exact and its operators are tuples; only
+    # the complement-mode oracle of `core.BruteForcer` needs numpy.
     script = (
         "import sys, io, contextlib\n"
+        "import rlcm.regrep\n"
         "import rlcm.cli\n"
         "assert 'numpy' not in sys.modules, 'import'\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = rlcm.cli.run(['lcm', '--semigroup', 'ftheta:2,2',\n"
-        "                         '--radius', '1', 'x0.', 'x1.'])\n"
-        "assert code == 0, code\n"
-        "assert 'numpy' not in sys.modules, 'lcm'\n")
+        "for argv in (['lcm', '--semigroup', 'ftheta:2,2', '--radius', '1',\n"
+        "              'x0.', 'x1.'],\n"
+        "             ['check-relations', '--semigroup', 'zs:nxn',\n"
+        "              '--radius', '1', '--suite', 'Li'],\n"
+        "             ['normalize', '--semigroup', 'zs:add:2', 's(1)* t(1)']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = rlcm.cli.run(argv)\n"
+        "    assert code == 0, (argv, code)\n"
+        "    assert 'numpy' not in sys.modules, argv\n")
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-relations", "--model", "BS1n:36"],
+    ["lcm", "--semigroup", "frac", "(1,2)", "(2,3)"],
+], ids=["long", "short"])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # The read end is closed before the child starts, so its first write
+    # of standard output, at whatever size, meets a broken pipe.
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rlcm.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": path},
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_a_run_kept_across_a_reimport_reads_one_copy_of_the_package():
+    # A harness that drops and re-imports the package (a benchmark round,
+    # say) leaves older references to `run` behind; every module such a
+    # `run` reaches must be of its own copy, or sentinels like DISJOINT
+    # stop being identical.
+    old_run = cli.run
+    saved = {name: module for name, module in sys.modules.items()
+             if name == "rlcm" or name.startswith("rlcm.")}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = old_run(["check-relations", "--semigroup", "zs:nxn",
+                            "--suite", "Li", "--radius", "2"])
+        lines = buf.getvalue().splitlines()
+        assert code == 0 and lines
+        assert all(line.startswith("RESULT PASS ") for line in lines)
+    finally:
+        for name in [n for n in sys.modules
+                     if n == "rlcm" or n.startswith("rlcm.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
 
 
 def test_importing_the_cli_builds_no_parser():

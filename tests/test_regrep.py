@@ -15,7 +15,7 @@ import pytest
 from rlcm import regrep
 from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup, get_zs_descriptor
 from rlcm.core import DISJOINT, Lcm, enumerate_ball
-from rlcm.regrep import (ESCAPED_CODE, KILLED_CODE, RepContext,
+from rlcm.regrep import (ESCAPED_CODE, KILLED_CODE, TAIL, RepContext,
                          monomial_op, op_compare, op_compose, op_identity,
                          op_word, op_zero, oracle_check_monomial,
                          rep_generator, verify_relations)
@@ -82,20 +82,65 @@ def test_escape_is_sticky_through_composition():
 
 def test_op_compare_excludes_escaped_vectors():
     basis = [0, 1, 2]
-    F = np.array([1, ESCAPED_CODE, KILLED_CODE])
-    G = np.array([1, 0, KILLED_CODE])
-    compared, escaped, bad = op_compare(basis, F, G)
-    assert (compared, escaped, list(bad)) == (2, 1, [])
-    G2 = np.array([2, 0, KILLED_CODE])
-    _, _, bad = op_compare(basis, F, G2)
-    assert list(bad) == [0]
+    F = (1, ESCAPED_CODE, KILLED_CODE, *TAIL)
+    G = (1, 0, KILLED_CODE, *TAIL)
+    assert op_compare(basis, F, G) == (2, 1, [])
+    assert op_compare(basis, F, F) == (2, 1, [])
+    G2 = (2, 0, KILLED_CODE, *TAIL)
+    assert op_compare(basis, F, G2) == (2, 1, [0])
 
 
 def test_identity_and_zero_operators():
-    assert list(op_identity(3)) == [0, 1, 2]
-    assert list(op_zero(2)) == [KILLED_CODE, KILLED_CODE]
-    F = np.array([2, KILLED_CODE, 0])
-    assert list(op_compose(op_identity(3), F)) == list(F)
+    assert TAIL == (ESCAPED_CODE, KILLED_CODE)
+    assert op_identity(3) == (0, 1, 2, *TAIL)
+    assert op_zero(2) == (KILLED_CODE, KILLED_CODE, *TAIL)
+    F = (2, KILLED_CODE, 0, *TAIL)
+    assert op_compose(op_identity(3), F) == F
+    assert op_compose(F, op_identity(3)) == F
+
+
+def _numpy_compose(left, right):
+    """Composition on numpy code arrays, as the operators were once
+    stored: the reference for the tuple kernel."""
+    out = right.copy()
+    mask = right >= 0
+    out[mask] = left[right[mask]]
+    return out
+
+
+def _numpy_compare(F, G):
+    esc = (F == ESCAPED_CODE) | (G == ESCAPED_CODE)
+    bad = ~esc & (F != G)
+    n_esc = int(esc.sum())
+    return len(F) - n_esc, n_esc, np.flatnonzero(bad).tolist()
+
+
+def test_the_tuple_kernel_agrees_with_numpy_code_arrays():
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 70)
+        codes = [ESCAPED_CODE, KILLED_CODE, *range(n)]
+
+        def draw():
+            return [rng.choice(codes) for _ in range(n)]
+
+        words = [draw() for _ in range(rng.randint(1, 4))]
+        ops = [tuple(w) + TAIL for w in words]
+        arrays = [np.array(w, dtype=np.int64) for w in words]
+        want = arrays[-1]
+        for m in reversed(arrays[:-1]):
+            want = _numpy_compose(m, want)
+        got = op_word(ops)
+        assert got == tuple(want.tolist()) + TAIL
+        assert op_compose(ops[0], ops[-1]) == tuple(
+            _numpy_compose(arrays[0], arrays[-1]).tolist()) + TAIL
+        # Unequal operators, and equal ones, with their escapes.
+        other = draw()
+        for F, G in ((got, tuple(other) + TAIL), (got, got),
+                     (ops[0], tuple(words[0][:n // 2] + other[n // 2:])
+                      + TAIL)):
+            assert op_compare(range(n), F, G) == _numpy_compare(
+                np.array(F[:n]), np.array(G[:n]))
 
 
 def test_relation_suites_pass_on_all_example_products():
@@ -169,7 +214,7 @@ def test_the_monomial_map_never_reads_the_tables():
     assert (-1, 1) not in ctx.basis.index
     assert ctx.proj((1, 1))[i] == ESCAPED_CODE
     assert ctx.monomial(VV((1, 1), (1, 1)))[i] == i
-    assert list(ctx.monomial(ZERO)) == list(op_zero(len(ctx.basis)))
+    assert ctx.monomial(ZERO) == op_zero(len(ctx.basis))
 
 
 @pytest.mark.parametrize("name", EXAMPLE_ZS_NAMES)
