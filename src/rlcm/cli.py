@@ -10,12 +10,12 @@ and the exit code is 0 when nothing failed, 1 on FAIL or on a found
 counterexample to the right-LCM property, 2 on bad input, work past a
 cap (AXIOM_MAX_CHECKS, RELATIONS_MAX_BASIS, FOUNDATION_MAX_BALL)
 included, and 141 (128 + SIGPIPE), with nothing on stderr, when standard
-output is closed before the answer is written.  `run` returns the exit
-code for every error it raises itself; an argparse usage error raises
-SystemExit(2), as in any argparse program.  `VERBS` and `FLAGS` are the
-one table of the grammar: `parse` reads a plain request straight from
-them, and builds the argparse parser only for help or a request it does
-not read itself.
+output is closed before the answer, or the help, is written.  `run`
+returns the exit code for every error it raises itself; an argparse
+usage error raises SystemExit(2), as in any argparse program.  `VERBS`
+and `FLAGS` are the one table of the grammar: `parse` reads a plain
+request straight from them, and builds the argparse parser only for help
+or a request it does not read itself.
 """
 
 from __future__ import annotations
@@ -86,9 +86,17 @@ def _most_balls(n):
     return (math.isqrt(n ** 4 + 4 * n * AXIOM_MAX_CHECKS) - n * n) // (2 * n)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help written to a closed stdout
+    raises, as any other answer does; argparse swallows the error."""
+
+    def print_help(self, file=None):
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
 def build_parser():
     """The parser of every verb, as `rlcm --help` shows it."""
-    top = argparse.ArgumentParser(prog="rlcm", description=__doc__)
+    top = _Parser(prog="rlcm", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
     for verb, (help_text, flags, nargs) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
@@ -353,7 +361,10 @@ def _dispatch(ns):
 
 def main():
     try:
-        code = run()
+        try:
+            code = run()
+        except SystemExit as e:  # help, or a usage error, from argparse
+            code = e.code
         sys.stdout.flush()
     except BrokenPipeError:
         # Nobody reads the answer: point stdout at devnull, so that the

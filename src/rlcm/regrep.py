@@ -1,6 +1,7 @@
 """Truncated left-regular representation: each element p acts on a finite
 ball of the monoid as the partial injection q -> pq, with the adjoint
-acting by left division.
+acting by left division, and the range projection of p keeps exactly
+the elements that p divides.
 
 Operators are tuples of integer codes over a ball taken as the basis.  A
 code >= 0 is the position (`Ball.index`) of the image; KILLED_CODE marks
@@ -10,6 +11,12 @@ Every code tuple ends in `TAIL`, so indexing by code -2 reads escaped and
 by -1 reads killed: composition is one lookup per code, and escaped and
 killed stay sticky through it.  Escaped vectors are never counted as
 evidence for or against a relation.
+
+A whole table of q -> pq (`rep_generator`) is built only for an operator
+that a relation family reads whole: the basis elements of the Li suite,
+the complements of the covariance suite and the generators of the K
+suite.  Range projections come from division alone, and `L1` multiplies
+by pq only on the rows its left side keeps in the ball.
 """
 
 from __future__ import annotations
@@ -111,10 +118,12 @@ class RepContext:
     """Cached tables, adjoints and range projections over one ball, and
     the monomial maps, divisor rows and collapse LCMs of the word oracle.
 
-    Every cache lasts as long as the basis.  The monomial side never
-    reads the tables: `bwd` marks a quotient outside the ball escaped,
-    while a monomial multiplies that quotient by p, and the product may
-    land back in the ball.
+    Every cache lasts as long as the basis.  A table costs n multiplies
+    and up to n divisions, so it is built only for an operator read
+    whole; a range projection costs n divisions and no table.  The
+    monomial side reads neither: `bwd` and `proj` mark a quotient outside
+    the ball escaped, while a monomial multiplies that quotient by p, and
+    the product may land back in the ball.
     """
 
     def __init__(self, S, basis):
@@ -140,11 +149,16 @@ class RepContext:
         return self.table(p).bwd
 
     def proj(self, p):
+        """The range projection of v_p, by division alone: w stays when
+        its quotient by p lies in the ball, escapes when the quotient
+        lies outside, and is killed when p does not divide it."""
         m = self._projs.get(p)
         if m is None:
-            T = self.table(p)
-            m = op_compose(T.fwd, T.bwd)
-            self._projs[p] = m
+            divide, index = self.S.left_divide, self.basis.index
+            m = self._projs[p] = tuple([
+                KILLED_CODE if (s := divide(p, w)) is None
+                else j if s in index else ESCAPED_CODE
+                for j, w in enumerate(self.basis.elements)]) + TAIL
         return m
 
     def quotients(self, q):
@@ -206,9 +220,14 @@ def verify_relations(D, radius=3, suite="Li", max_basis=None):
 
     if suite == "Li":
         identity = op_identity(len(basis))
+
+        def l1(p, q):
+            lhs = op_compose(ctx.op(p), ctx.op(q))
+            return (lhs, _product_rows(P, basis, P.multiply(p, q), lhs),
+                    tag2(p, q))
+
         _family(report, "L1", basis, disp,
-                ((op_compose(ctx.op(p), ctx.op(q)), ctx.op(P.multiply(p, q)),
-                  tag2(p, q)) for p in basis for q in basis))
+                (l1(p, q) for p in basis for q in basis))
         _family(report, "L2", basis, disp,
                 ((op_word([ctx.op(p), ctx.proj(q), ctx.op_star(p)]),
                   ctx.proj(P.multiply(p, q)), tag2(p, q))
@@ -261,6 +280,15 @@ def verify_relations(D, radius=3, suite="Li", max_basis=None):
     else:
         raise ValueError(f"unknown suite {suite!r}")
     return report
+
+
+def _product_rows(P, basis, pq, lhs):
+    """The operator of pq on the rows where `lhs` stays in the ball, and
+    escaped on the others, which `op_compare` excludes either way."""
+    multiply, index = P.multiply, basis.index
+    return tuple([index.get(multiply(pq, w), ESCAPED_CODE) if c >= 0
+                  else ESCAPED_CODE
+                  for c, w in zip(lhs, basis.elements)]) + TAIL
 
 
 def _meet_proj(P, ctx, p, q):

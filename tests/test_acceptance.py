@@ -190,11 +190,13 @@ def test_presentation_relations_and_monomial_oracle():
         total_bad += check_words(P, pool, words)
 
     from test_core import _mutant, _swap
-    from test_regrep import _wrong_lcm
+    from test_regrep import _nxn_mutant, _wrong_lcm
 
     # Each mutant runs on the smallest input that catches it: the word
-    # oracle against an LCM padded by a letter, and the covariance suite
-    # against a right LCM in U with swapped complements.
+    # oracle against an LCM padded by a letter, the covariance suite
+    # against a right LCM in U with swapped complements, and the Li
+    # suite, whose range projections divide, against the action standing
+    # in for its inverse.
     S = get_semigroup("free:2")
     ctx = RepContext(S, enumerate_ball(S, 3))
     caught = bool(oracle_check_monomial(
@@ -203,9 +205,11 @@ def test_presentation_relations_and_monomial_oracle():
     swapped = dataclasses.replace(D, U=_mutant(D.U, _swap))
     caught += any(c.status == FAIL for c in verify_relations(
         swapped, radius=1, suite="covariance").checks)
+    caught += any(c.status == FAIL for c in verify_relations(
+        _nxn_mutant("action_inverse"), radius=1, suite="Li").checks)
     _record("presentation-equivalence",
-            suites_ok and total_bad == 0 and caught == 2,
-            f"words={n_words} bad={total_bad} mutants-caught={caught}/2")
+            suites_ok and total_bad == 0 and caught == 3,
+            f"words={n_words} bad={total_bad} mutants-caught={caught}/3")
 
 
 # ---------------------------------------------------------------------------

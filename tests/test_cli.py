@@ -489,19 +489,37 @@ def test_cli_start_up_does_not_load_numpy():
     ["lcm", "--semigroup", "frac", "(1,2)", "(2,3)"],
 ], ids=["long", "short"])
 def test_a_closed_stdout_exits_141_without_a_traceback(argv):
-    # The read end is closed before the child starts, so its first write
-    # of standard output, at whatever size, meets a broken pipe.
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    assert _into_a_closed_pipe(argv, os.environ) == (141, "")
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["check-relations", "--help"]],
+                         ids=["top", "verb"])
+def test_help_into_a_closed_stdout_exits_141(argv, buffered):
+    # Unbuffered, the help's own write fails, and argparse would swallow
+    # that; buffered, only the flush fails, after argparse has exited 0.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    assert _into_a_closed_pipe(argv, env) == (141, "")
+
+
+def _into_a_closed_pipe(argv, env):
+    """(exit status, stderr) of `rlcm argv` writing into a pipe whose read
+    end is closed before the child starts, so that its first write of
+    standard output, at whatever size, meets a broken pipe."""
+    path = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "rlcm.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              env={**os.environ, "PYTHONPATH": path},
+                              env={**env, "PYTHONPATH": path},
                               text=True, timeout=60)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (141, "")
+    return proc.returncode, proc.stderr
 
 
 def test_a_run_kept_across_a_reimport_reads_one_copy_of_the_package():

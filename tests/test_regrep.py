@@ -143,12 +143,125 @@ def test_the_tuple_kernel_agrees_with_numpy_code_arrays():
                 np.array(F[:n]), np.array(G[:n]))
 
 
+#: The honest relation suites' report lines: each header line names a
+#: product, a radius and a suite, and the RESULT lines under it are its
+#: report.  Which tables are built, and on which rows, must not move them.
+PINNED_REPORTS = """\
+bs:1,2 2 Li
+RESULT PASS L1 checked=105 failed=0 escaped=1226
+RESULT PASS L2 checked=1331 failed=0
+RESULT PASS L3 checked=11 failed=0
+RESULT PASS L4 checked=1331 failed=0
+RESULT PASS isometry checked=40 failed=0 escaped=81
+bs:1,2 2 covariance
+RESULT PASS covariance checked=440 failed=0 escaped=891
+bs:1,2 2 K
+RESULT PASS K1 checked=51 failed=0 escaped=180
+RESULT PASS K2 checked=69 failed=0 escaped=162
+bs:2,3 2 Li
+RESULT PASS L1 checked=235 failed=0 escaped=6624
+RESULT PASS L2 checked=6859 failed=0
+RESULT PASS L3 checked=19 failed=0
+RESULT PASS L4 checked=6859 failed=0
+RESULT PASS isometry checked=79 failed=0 escaped=282
+bs:2,3 2 covariance
+RESULT PASS covariance checked=1501 failed=0 escaped=5358
+bs:2,3 2 K
+RESULT PASS K1 checked=99 failed=0 escaped=642
+RESULT PASS K2 checked=132 failed=0 escaped=609
+nxn 2 Li
+RESULT PASS L1 checked=502 failed=0 escaped=32266
+RESULT PASS L2 checked=32768 failed=0
+RESULT PASS L3 checked=32 failed=0
+RESULT PASS L4 checked=32768 failed=0
+RESULT PASS isometry checked=152 failed=0 escaped=872
+nxn 2 covariance
+RESULT PASS covariance checked=4864 failed=0 escaped=27904
+nxn 2 K
+RESULT PASS K1 checked=213 failed=0 escaped=2187
+RESULT PASS K2 checked=258 failed=0 escaped=2142
+zxz 2 Li
+RESULT PASS L1 checked=1766 failed=0 escaped=77741
+RESULT PASS L2 checked=72549 failed=0 escaped=6958
+RESULT PASS L3 checked=43 failed=0
+RESULT PASS L4 checked=72342 failed=0 escaped=7165
+RESULT PASS isometry checked=289 failed=0 escaped=1560
+zxz 2 covariance
+RESULT PASS covariance checked=11454 failed=0 escaped=68053
+zxz 2 K
+RESULT PASS K1 checked=327 failed=0 escaped=6123
+RESULT PASS K2 checked=327 failed=0 escaped=6123
+add:2 2 Li
+RESULT PASS L1 checked=105 failed=0 escaped=1226
+RESULT PASS L2 checked=1331 failed=0
+RESULT PASS L3 checked=11 failed=0
+RESULT PASS L4 checked=1331 failed=0
+RESULT PASS isometry checked=40 failed=0 escaped=81
+add:2 2 covariance
+RESULT PASS covariance checked=440 failed=0 escaped=891
+add:2 2 K
+RESULT PASS K1 checked=51 failed=0 escaped=180
+RESULT PASS K2 checked=69 failed=0 escaped=162
+add:3 2 Li
+RESULT PASS L1 checked=256 failed=0 escaped=5576
+RESULT PASS L2 checked=5832 failed=0
+RESULT PASS L3 checked=18 failed=0
+RESULT PASS L4 checked=5832 failed=0
+RESULT PASS isometry checked=78 failed=0 escaped=246
+add:3 2 covariance
+RESULT PASS covariance checked=1404 failed=0 escaped=4428
+add:3 2 K
+RESULT PASS K1 checked=108 failed=0 escaped=594
+RESULT PASS K2 checked=126 failed=0 escaped=576
+ftheta:2,3 2 Li
+RESULT PASS L1 checked=2114 failed=0 escaped=57205
+RESULT PASS L2 checked=57745 failed=0 escaped=1574
+RESULT PASS L3 checked=39 failed=0
+RESULT PASS L4 checked=57669 failed=0 escaped=1650
+RESULT PASS isometry checked=298 failed=0 escaped=1223
+ftheta:2,3 2 covariance
+RESULT PASS covariance checked=11376 failed=0 escaped=47943
+ftheta:2,3 2 K
+RESULT PASS K1 checked=400 failed=0 escaped=4475
+RESULT PASS K2 checked=400 failed=0 escaped=4475
+bs:2,3 3 Li
+RESULT PASS L1 checked=2007 failed=0 escaped=248040
+RESULT PASS L2 checked=250047 failed=0
+RESULT PASS L3 checked=63 failed=0
+RESULT PASS L4 checked=250047 failed=0
+RESULT PASS isometry checked=439 failed=0 escaped=3530
+add:3 3 Li
+RESULT PASS L1 checked=2441 failed=0 escaped=192671
+RESULT PASS L2 checked=195112 failed=0
+RESULT PASS L3 checked=58 failed=0
+RESULT PASS L4 checked=195112 failed=0
+RESULT PASS isometry checked=442 failed=0 escaped=2922
+"""
+
+
+def _pinned_runs():
+    runs = []
+    for line in PINNED_REPORTS.splitlines():
+        if line.startswith("RESULT"):
+            runs[-1][1].append(line)
+        else:
+            name, radius, suite = line.split()
+            runs.append(((name, int(radius), suite), []))
+    return runs
+
+
 def test_relation_suites_pass_on_all_example_products():
-    for name in EXAMPLE_ZS_NAMES:
-        D = get_zs_descriptor(name)
-        for suite in ("Li", "covariance", "K"):
-            report = verify_relations(D, radius=2, suite=suite)
-            assert report.ok, f"{name}/{suite}: {report}"
+    # Every suite at radius 2, and Li at radius 3 on two products, prints
+    # the lines pinned above, byte for byte.
+    runs = _pinned_runs()
+    assert {key for key, _ in runs} >= {
+        (name, 2, suite) for name in EXAMPLE_ZS_NAMES
+        for suite in ("Li", "covariance", "K")}
+    for (name, radius, suite), lines in runs:
+        report = verify_relations(get_zs_descriptor(name), radius=radius,
+                                  suite=suite)
+        assert report.ok, f"{name}/{suite}: {report}"
+        assert report.lines() == lines, (name, radius, suite)
 
 
 def test_a_wrong_restriction_fails_k1_with_its_witness():
@@ -206,7 +319,7 @@ def test_oracle_check_detects_a_wrong_lcm():
 
 def test_the_monomial_map_never_reads_the_tables():
     # On zxz, (1,1) divides (0,1) with quotient (-1,1), which lies outside
-    # the radius-2 ball: the range projection's table escapes there, but
+    # the radius-2 ball: the range projection escapes there, but
     # the monomial multiplies the quotient back into the ball.
     S = get_semigroup("zxz")
     ctx = _ctx(S, 2)
@@ -311,3 +424,69 @@ def test_projection_operator_is_range_projection():
         if proj[i] >= 0:
             assert proj[i] == i
             assert S.left_divide(p, w) is not None
+
+
+def _raises(*args):
+    raise AssertionError("a range projection multiplied")
+
+
+def test_li_builds_tables_only_for_its_basis(monkeypatch):
+    built = []
+
+    def counted(S, p, basis):
+        built.append(p)
+        return rep_generator(S, p, basis)
+
+    monkeypatch.setattr(regrep, "rep_generator", counted)
+    D = get_zs_descriptor("bs:2,3")
+    assert verify_relations(D, radius=3, suite="Li").ok
+    P = zs_semigroup(D)
+    basis = enumerate_ball(P, 3)
+    assert len(basis) == 63
+    assert len(built) <= len(basis) and set(built) <= set(basis.elements)
+    # A range projection divides and never multiplies, also for products
+    # that leave the ball.
+    ctx = RepContext(replace(P, multiply=_raises), basis)
+    honest = RepContext(P, basis)
+    for r in {P.multiply(p, q) for p in enumerate_ball(P, 1) for q in basis}:
+        assert ctx.proj(r) == honest.proj(r), r
+
+
+@pytest.mark.parametrize("name", EXAMPLE_ZS_NAMES)
+def test_a_range_projection_is_the_table_times_its_adjoint(name):
+    # On a left-cancellative monoid, division reads off fwd ∘ bwd code
+    # for code, for elements of the ball and products beyond it.
+    P = zs_semigroup(get_zs_descriptor(name))
+    basis = enumerate_ball(P, 2)
+    ctx = RepContext(P, basis)
+    inner = enumerate_ball(P, 1).elements
+    for p in {*basis.elements, *(P.multiply(p, q) for p in inner
+                                 for q in basis)}:
+        T = rep_generator(P, p, basis)
+        assert ctx.proj(p) == op_compose(T.fwd, T.bwd), p
+
+
+def _nxn_mutant(field):
+    """nxn with one matching field wrong: shifts past 1 act as 1, every
+    restriction is 0, or the action stands in for its inverse."""
+    D = get_zs_descriptor("nxn")
+    act = D.action
+    wrong = {"action": lambda m, u: act(min(m, 1), u),
+             "restriction": lambda m, u: 0,
+             "action_inverse": act}[field]
+    return replace(D, **{field: wrong})
+
+
+@pytest.mark.parametrize("field, families", [
+    ("action", {"L1", "L2"}),
+    ("restriction", {"L1"}),
+    ("action_inverse", {"L2", "L4"}),
+], ids=["action", "restriction", "action_inverse"])
+def test_a_wrong_matching_field_fails_li(field, families):
+    # Division decides L2 and L4, multiplication L1 and L2: a wrong
+    # action_inverse reaches L2, and a wrong action, which only the
+    # multiplication reads, does not reach L4.
+    report = verify_relations(_nxn_mutant(field), radius=2, suite="Li")
+    assert not report.ok
+    assert {c.suite for c in report.checks if c.failed} == families
+    assert all(c.witnesses for c in report.checks if c.failed)
