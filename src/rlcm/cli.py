@@ -98,6 +98,7 @@ def build_parser():
     """The parser of every verb, as `rlcm --help` shows it."""
     top = _Parser(prog="rlcm", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
+    top.verbs = sub.choices  # verb -> its own parser
     for verb, (help_text, flags, nargs) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         for flag in flags:
@@ -118,9 +119,19 @@ def parse(argv):
     other word may start with `-`.  Every other request (help, `=`,
     abbreviations, `--`, words that start with `-`, miscounted or split
     positionals, values that do not read) goes to the whole parser,
-    which reads it or prints the usage and error it always has."""
+    which reads it or prints the usage and error it always has.  The one
+    exception is a word that the verb leading the request does not read:
+    that verb's own parser reports it, with the verb's usage."""
     ns = _read_plain(argv)
-    return build_parser().parse_args(argv) if ns is None else ns
+    if ns is not None:
+        return ns
+    top = build_parser()
+    ns, extra = top.parse_known_args(argv)
+    if extra:
+        # A word before the verb is the top parser's to report.
+        parser = top.verbs[ns.verb] if argv[0] == ns.verb else top
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return ns
 
 
 def _read_plain(argv):

@@ -142,6 +142,29 @@ def enumerate_ball(S, radius, limit=None):
     return Ball(radius, lengths)
 
 
+#: A `bytes.translate` table that marks each nonzero byte with a 1, and
+#: each byte's set bits.
+_NONZERO = bytes([0] + [1] * 255)
+_BYTE_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1)
+                   for byte in range(256))
+
+
+def set_bits(x):
+    """The positions of the set bits of the int x >= 0, in increasing
+    order: each nonzero byte is found by `bytes.find` and read off a
+    table."""
+    raw = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+    find = raw.translate(_NONZERO).find
+    out = []
+    at = find(1)
+    while at >= 0:
+        base = at << 3
+        for b in _BYTE_BITS[raw[at]]:
+            out.append(base + b)
+        at = find(1, at + 1)
+    return out
+
+
 def ball_from_elements(elements, length):
     """Ball over an explicit element set; `length` maps element -> int.
 
@@ -166,19 +189,22 @@ class BruteForcer:
     least common multiple of long p, q without enumerating a huge
     product ball; lengths and the boundary margin are then measured on
     the complements.  Each product p*t is interned once per oracle as a
-    small int id, and each map p*T is kept as two numpy arrays: the
-    sorted ids and the minimal length of t for each; a pair's common
-    multiples are the intersection of two id arrays.
+    small int id, and each map p*T is kept as Python-int bitsets over
+    those ids, one per complement length k: the products p*t with
+    |t| <= k.  A pair's common multiples are one `&` of the last two
+    bitsets, and the shortest of them lie in the first layer where the
+    two maps meet.
 
     Complement mode also keeps a divisibility memo: for each candidate
-    LCM m, by id, the sorted ids of the multiples that m has been seen
-    to left-divide.  A certificate divides m only into the common
+    LCM m, by id, the bitset of the multiples that m has been seen to
+    left-divide.  A certificate divides m only into the common
     multiples not yet recorded under m, and records them once every one
     of its divisions has succeeded.  The memo holds only divisions that
     were made; it never infers m | c from t_m | t_c or by transitivity,
     which would assume the cancellativity and associativity that the
     oracle exists to check.  Ball mode keeps no memo: its common sets
-    are small, and array work per pair would cost more than it saves.
+    are small, and the bookkeeping per pair would cost more than it
+    saves.
 
     In both modes one pair cache holds each searched outcome for (p, q)
     together with its restatement for (q, p), so a pair asked in both
@@ -187,6 +213,14 @@ class BruteForcer:
     each divide the other, and the answer for (q, p) names p, not q.
     Nor does it hold a ball-mode `BallTooSmall`, whose text can name p
     and q in the order asked.
+
+    Each oracle counts its own work in plain ints, once per pair and
+    never per product operation: `ball_searches` and
+    `complement_searches`; `cache_hits`, pairs answered from the pair
+    cache; `comparable`, pairs answered without a search; the
+    `certifications` run and their candidate `divisions`, the multiples
+    each certificate has to divide its candidate into; and, of the
+    searches, the `too_small` (`BallTooSmall`) and `disjoint` outcomes.
     """
 
     def __init__(self, S, ball, complements=None):
@@ -196,15 +230,15 @@ class BruteForcer:
         self._multiples = {}
         self._mult_maps = {}
         self._pair_cache = {}
-        self._divides = {}  # candidate id -> sorted ids it left-divides
+        self._divides = {}  # candidate id -> bitset of ids it left-divides
         self._ids = {}      # interned product -> id
         self._elems = []    # id -> interned product
+        self.ball_searches = self.complement_searches = 0
+        self.cache_hits = self.comparable = 0
+        self.certifications = self.divisions = 0
+        self.too_small = self.disjoint = 0
         if complements is not None:
-            # Imported here, not at the top: every CLI request imports
-            # this module, and none of them needs numpy.
-            import numpy as np
-            self._t_lengths = np.array([complements.length(t)
-                                        for t in complements], dtype=np.intp)
+            self._t_lengths = list(map(complements.length, complements))
 
     def multiples_in_ball(self, p):
         cached = self._multiples.get(p)
@@ -215,61 +249,58 @@ class BruteForcer:
         return cached
 
     def _mult_map(self, p):
-        """The multiples p*t over the complement ball, as (sorted ids of
-        p*T, minimal length of such t for each id)."""
+        """The multiples p*t over the complement ball, as one bitset of
+        ids per complement length k: those of p*t with |t| <= k."""
         cached = self._mult_maps.get(p)
         if cached is None:
-            import numpy as np
             mul, ids, elems = self.S.multiply, self._ids, self._elems
-            row = []
-            for t in self.complements:
+            T = self.complements
+            # Bytes enough for every id this map can intern; bit i of
+            # layers[k] is set when some t of length k gives the product i.
+            size = (len(elems) + len(T) + 7) >> 3
+            layers = [bytearray(size) for _ in range(T.radius + 1)]
+            for t, k in zip(T, self._t_lengths):
                 m = mul(p, t)
                 i = ids.get(m)
                 if i is None:
                     i = ids[m] = len(elems)
                     elems.append(m)
-                row.append(i)
-            # The ball is enumerated by increasing length, so the first
-            # t giving each product is a shortest one.
-            uniq, first = np.unique(np.array(row, dtype=np.intp),
-                                    return_index=True)
-            cached = (uniq, self._t_lengths[first])
+                layers[k][i >> 3] |= 1 << (i & 7)
+            cached, up_to = [], 0
+            for layer in layers:
+                up_to |= int.from_bytes(layer, "little")
+                cached.append(up_to)
             self._mult_maps[p] = cached
         return cached
 
     def _search_complements(self, p, q):
-        import numpy as np
-        (ip, lp), (iq, lq) = self._mult_map(p), self._mult_map(q)
-        # Either map may hold ids that the other lacks, beyond its last.
-        at = np.minimum(np.searchsorted(iq, ip), len(iq) - 1)
-        hit = iq[at] == ip
-        if not hit.any():
+        lp, lq = self._mult_map(p), self._mult_map(q)
+        full = lp[-1] & lq[-1]
+        if not full:
             return DISJOINT
-        ids = ip[hit]
-        lengths = np.maximum(lp[hit], lq[at[hit]])
-        shortest = int(lengths.min())
+        for shortest, layer in enumerate(map(int.__and__, lp, lq)):
+            if layer:
+                break
         elems, display = self._elems, self.S.display
-        im = min(ids[lengths == shortest].tolist(),
-                 key=lambda i: display(elems[i]))
-        known = self._divides.get(im)
-        fresh = ids
-        if known is not None:
-            at = np.minimum(np.searchsorted(known, ids), len(known) - 1)
-            fresh = ids[known[at] != ids]
+        im = min(set_bits(layer), key=lambda i: display(elems[i]))
+        known = self._divides.get(im, 0)
+        fresh = full & ~known
+        self.divisions += fresh.bit_count()
 
         def proved():
-            if known is None:
-                self._divides[im] = fresh
-            elif len(fresh):
-                merged = np.concatenate((known, fresh))
-                merged.sort()
-                self._divides[im] = merged
+            self._divides[im] = known | fresh
+
+        def common():
+            lengths, seen = {}, 0
+            for k, layer in enumerate(map(int.__and__, lp, lq)):
+                for i in set_bits(layer & ~seen):
+                    lengths[elems[i]] = k
+                seen = layer
+            return lengths
 
         return self._certify(
-            p, q, elems[im], shortest, map(elems.__getitem__, fresh.tolist()),
-            lambda: dict(zip(map(elems.__getitem__, ids.tolist()),
-                             lengths.tolist())),
-            self.complements.radius, proved)
+            p, q, elems[im], shortest, map(elems.__getitem__, set_bits(fresh)),
+            common, self.complements.radius, proved)
 
     def _certify(self, p, q, m, shortest, todo, common, radius,
                  proved=None):
@@ -284,6 +315,7 @@ class BruteForcer:
         stay clear of the `radius` boundary.
         """
         S = self.S
+        self.certifications += 1
         # `is None`, not truthiness: identity quotients (0, "", ((), ()))
         # are falsy.
         if None in map(functools.partial(S.left_divide, m), todo):
@@ -345,28 +377,36 @@ class BruteForcer:
     def right_lcm(self, p, q):
         """The oracle's right LCM of p and q; see the class docstring."""
         result = self._pair_cache.get((p, q))
-        if result is None:
+        if result is not None:
+            self.cache_hits += 1
+        else:
             if self.complements is None:
                 search = self._search_ball
+                self.ball_searches += 1
             else:
                 # Comparable pairs need no search: if q == p*d then q is the
                 # right LCM of p and q (every common multiple is one of q).
                 S = self.S
                 d = S.left_divide(p, q)
                 if d is not None:
+                    self.comparable += 1
                     return Lcm(q, d, S.identity)
                 d = S.left_divide(q, p)
                 if d is not None:
+                    self.comparable += 1
                     return Lcm(p, S.identity, d)
                 search = self._search_complements
+                self.complement_searches += 1
             try:
                 result = search(p, q)
             except IncomparableMultiples as e:
                 result = e
             except BallTooSmall as e:
+                self.too_small += 1
                 if self.complements is None:
                     raise  # its text names p and q in the order asked
                 result = e
+            self.disjoint += result is DISJOINT
             self._pair_cache[(p, q)] = result
             self._pair_cache[(q, p)] = _reversed(result)
         if isinstance(result, Exception):
@@ -383,6 +423,7 @@ class BruteForcer:
         shortest = min(map(length, common))
         m = min([t for t in common if length(t) == shortest],
                 key=self.S.display)
+        self.divisions += len(common)
         return self._certify(p, q, m, shortest, common,
                              lambda: {t: length(t) for t in common},
                              self.ball.radius)

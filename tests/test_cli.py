@@ -464,13 +464,16 @@ def _python(*args):
 
 
 def test_cli_start_up_does_not_load_numpy():
-    # The CLI's right LCMs are exact and its operators are tuples; only
-    # the complement-mode oracle of `core.BruteForcer` needs numpy.
+    # No module of the package needs numpy: the CLI's right LCMs are
+    # exact, its operators are tuples and the oracle's maps are int
+    # bitsets, in complement mode too.
     script = (
         "import sys, io, contextlib\n"
         "import rlcm.regrep\n"
         "import rlcm.cli\n"
-        "assert 'numpy' not in sys.modules, 'import'\n"
+        "from rlcm import catalog, core\n"
+        "if 'numpy' in sys.modules:\n"
+        "    sys.exit('the import loaded numpy')\n"
         "for argv in (['lcm', '--semigroup', 'ftheta:2,2', '--radius', '1',\n"
         "              'x0.', 'x1.'],\n"
         "             ['check-relations', '--semigroup', 'zs:nxn',\n"
@@ -478,10 +481,27 @@ def test_cli_start_up_does_not_load_numpy():
         "             ['normalize', '--semigroup', 'zs:add:2', 's(1)* t(1)']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = rlcm.cli.run(argv)\n"
-        "    assert code == 0, (argv, code)\n"
-        "    assert 'numpy' not in sys.modules, argv\n")
-    proc = _python("-c", script)
-    assert proc.returncode == 0, proc.stderr
+        "    if code != 0:\n"
+        "        sys.exit(f'{argv} exited {code}')\n"
+        "    if 'numpy' in sys.modules:\n"
+        "        sys.exit(f'{argv} loaded numpy')\n"
+        "S = catalog.get_semigroup('zs:bs:1,2')\n"
+        "ball = core.enumerate_ball(S, 1)\n"
+        "T = core.enumerate_ball(S, 3)\n"
+        "oracle = core.BruteForcer(S, ball, complements=T)\n"
+        "a, _, b = S.generators\n"
+        "lcm = oracle.right_lcm(a, b)\n"
+        "if not isinstance(lcm, core.Lcm) or oracle.certifications != 1:\n"
+        "    sys.exit(f'the complement search found {lcm!r}')\n"
+        "report = core.check_cancellativity_and_lcm(S, ball,\n"
+        "                                           lcm_complements=T)\n"
+        "if [c.failed for c in report.checks] != [0, 0, 0, 0]:\n"
+        "    sys.exit(report.lines())\n"
+        "if 'numpy' in sys.modules:\n"
+        "    sys.exit('the complement oracle loaded numpy')\n")
+    for flags in ([], ["-O"]):
+        proc = _python(*flags, "-c", script)
+        assert proc.returncode == 0, (flags, proc.stderr)
 
 
 @pytest.mark.parametrize("argv", [
@@ -564,12 +584,16 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_whole_parser_reads_the_verb_table():
-    whole = cli.build_parser()
+def _verb_parsers(whole):
     (verbs,) = (a for a in whole._actions
                 if isinstance(a, argparse._SubParsersAction))
-    assert list(verbs.choices) == list(cli.VERBS)
-    for verb, sub in verbs.choices.items():
+    return verbs.choices
+
+
+def test_the_whole_parser_reads_the_verb_table():
+    verbs = _verb_parsers(cli.build_parser())
+    assert list(verbs) == list(cli.VERBS)
+    for verb, sub in verbs.items():
         _help, flags, nargs = cli.VERBS[verb]
         options = [a.option_strings for a in sub._actions if a.option_strings]
         assert options == [["-h", "--help"], *([f"--{f}"] for f in flags)]
@@ -606,14 +630,14 @@ def test_a_plain_request_builds_no_parser(monkeypatch):
         assert _run(argv)[0] == 0, argv
         assert builds[0] == "rlcm", argv
         del builds[:]
-    # So does an argument the verb does not take; its usage error is the
-    # one it always printed, and the next request does not see it.
+    # So does an argument the verb does not take; the verb's own parser
+    # reports it, and the next request does not see it.
     err = io.StringIO()
     with redirect_stderr(err), pytest.raises(SystemExit) as exc:
         _run(["mul", "--semigroup", "nat", "--radius", "2", "1"])
     assert exc.value.code == 2
     assert err.getvalue().endswith(
-        "rlcm: error: unrecognized arguments: --radius\n")
+        "rlcm mul: error: unrecognized arguments: --radius\n")
     for argv in (["lcm", "--semigroup", "frac", "(1,2)", "(2,3)"],
                  ["foundation", "--semigroup", "free:2", "--mode", "exact",
                   "0", "1"]):
@@ -671,18 +695,51 @@ def _read(parse, argv):
     return got, out.getvalue(), err.getvalue()
 
 
+def _read_whole(whole, argv):
+    """What the whole parser reads, except that a word the leading verb
+    does not read is reported by that verb's parser, with its usage."""
+    got, out, err = _read(whole.parse_args, argv)
+    error = "rlcm: error: unrecognized arguments: "
+    last = err.splitlines()[-1] if err else ""
+    if got == 2 and argv[0] in cli.VERBS and last.startswith(error):
+        verb = _verb_parsers(whole)[argv[0]]
+        err = f"{verb.format_usage()}rlcm {argv[0]}: {last[6:]}\n"
+    return got, out, err
+
+
 def test_a_seeded_sweep_reads_as_the_whole_parser_reads(monkeypatch):
     # Usage and help lines wrap at the terminal width; fix it.
     monkeypatch.setenv("COLUMNS", "80")
     rng = random.Random(2024)
     whole = cli.build_parser()
-    plain = 0
+    plain = verb_errors = 0
     for _ in range(2400):
         argv = _sweep_argv(rng)
         plain += cli._read_plain(argv) is not None
-        assert _read(cli.parse, argv) == _read(whole.parse_args, argv), argv
-    # Both paths are exercised.
+        want = _read_whole(whole, argv)
+        verb_errors += f"rlcm {argv[0]}: error: unrecognized" in want[2]
+        assert _read(cli.parse, argv) == want, argv
+    # Both paths are exercised, and so are the verbs' own usage errors.
     assert 400 < plain < 2000, plain
+    assert verb_errors > 300, verb_errors
+
+
+@pytest.mark.parametrize("argv, usage, unread", [
+    (["check-relations", "--bogus"],
+     "usage: rlcm check-relations [-h] [--model MODEL] [--suite SUITE]\n"
+     "                            [--semigroup SEMIGROUP] [--radius RADIUS]\n",
+     "--bogus"),
+    (["mul", "--semigroup", "nat", "1", "--radius", "2"],
+     "usage: rlcm mul [-h] [--semigroup SEMIGROUP] args [args ...]\n",
+     "--radius 2"),
+], ids=["check-relations", "mul"])
+def test_a_word_the_verb_does_not_read_shows_that_verbs_usage(
+        monkeypatch, argv, usage, unread):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = _python("-m", "rlcm.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"{usage}rlcm {argv[0]}: error: unrecognized "
+                           f"arguments: {unread}\n")
 
 
 def test_every_request_reads_as_the_whole_parser_reads_it():

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import itertools
 import pkgutil
+import random
 import sys
 
 import pytest
@@ -16,7 +17,7 @@ from rlcm.catalog import EXAMPLE_ZS_NAMES, get_semigroup
 from rlcm.core import (DISJOINT, BallTooLarge, BallTooSmall, BruteForcer,
                        IncomparableMultiples, Lcm, ball_from_elements,
                        check_cancellativity_and_lcm, enumerate_ball,
-                       lcm_agrees, lcm_equal_up_to_units)
+                       lcm_agrees, lcm_equal_up_to_units, set_bits)
 from rlcm.report import Report
 from rlcm.zoo import free_monoid, nat_add
 
@@ -241,6 +242,15 @@ SEARCHED = [(f"zs:{name}", 2, 4) for name in EXAMPLE_ZS_NAMES] \
     + [("ftheta:4,6", 1, 3)]
 
 
+@pytest.mark.parametrize("x", [
+    0, 1, 1 << 7 | 1 << 8, 0xFF << 4 | 1 << 15 | 1 << 16 | 1 << 23 | 1 << 24,
+    random.Random(125).getrandbits(125_000)],
+    ids=["zero", "bit-0", "byte-pair", "byte-runs", "random-125000"])
+def test_set_bits_lists_every_set_bit_in_order(x):
+    assert set_bits(x) == [i for i, bit in enumerate(reversed(bin(x)[2:]))
+                           if bit == "1"]
+
+
 @pytest.mark.parametrize("selector, radius, complements", SEARCHED)
 def test_interned_search_matches_the_dict_reference(selector, radius,
                                                     complements):
@@ -257,9 +267,15 @@ def test_interned_search_matches_the_dict_reference(selector, radius,
     if selector == "ftheta:4,6":
         assert "IncomparableMultiples" in kinds
     for p in oracle.ball:
-        ids, lengths = oracle._mult_map(p)
-        got = dict(zip([oracle._elems[i] for i in ids.tolist()],
-                       lengths.tolist()))
+        # Layer k holds the products of every t with |t| <= k, so a
+        # product's minimal length is the first layer that holds it.
+        layers = oracle._mult_map(p)
+        assert len(layers) == oracle.complements.radius + 1
+        got = {}
+        for k, layer in enumerate(layers):
+            for i in range(layer.bit_length()):
+                if layer >> i & 1:
+                    got.setdefault(oracle._elems[i], k)
         assert got == reference_map(p), S.display(p)
 
 
@@ -284,6 +300,79 @@ def test_interned_ids_belong_to_one_oracle():
         products = {S.multiply(p, t) for p in brute._mult_maps for t in T}
         assert set(brute._elems) == products, sel
         assert len(brute._elems) == len(products), sel
+
+
+@pytest.mark.parametrize("selector, radius, complements, seen", [
+    ("zs:bs:2,3", 2, 4, "disjoint"),
+    ("ftheta:4,6", 1, 3, "incomparable"),
+    ("ftheta:4,6", 1, 2, "too_small"),
+    ("zxz", 2, None, "too_small"),
+])
+def test_the_oracle_counts_its_own_work(selector, radius, complements, seen):
+    # Tallies taken outside the oracle: its divisions through the
+    # semigroup, and its searches and certificates through wrappers.
+    S = get_semigroup(selector)
+    divisions = []
+
+    def left_divide(m, c):
+        divisions.append((m, c))
+        return S.left_divide(m, c)
+
+    W = dataclasses.replace(S, left_divide=left_divide)
+    oracle = BruteForcer(W, enumerate_ball(S, radius), complements=(
+        None if complements is None else enumerate_ball(S, complements)))
+    mode = "ball" if complements is None else "complements"
+    tally = collections.Counter()
+    search, certify = getattr(oracle, f"_search_{mode}"), oracle._certify
+
+    def searched(p, q):
+        tally["searches"] += 1
+        try:
+            result = search(p, q)
+        except BallTooSmall:
+            tally["too_small"] += 1
+            raise
+        except IncomparableMultiples:
+            tally["incomparable"] += 1
+            raise
+        tally["disjoint"] += result is DISJOINT
+        return result
+
+    def certified(p, q, m, shortest, todo, common, radius, proved=None):
+        todo = list(todo)
+        tally["certifications"] += 1
+        tally["divisions"] += len(todo)
+        failed = []
+
+        def fall_back():
+            failed.append(True)
+            return common()
+
+        start = len(divisions)
+        try:
+            return certify(p, q, m, shortest, todo, fall_back, radius, proved)
+        finally:
+            if not failed:  # the candidate was divided into each of todo
+                assert divisions[start:start + len(todo)] == [
+                    (m, c) for c in todo]
+
+    setattr(oracle, f"_search_{mode}", searched)
+    oracle._certify = certified
+    pairs = list(_interleaved_pairs(list(oracle.ball))) * 2
+    for p, q in pairs:
+        _outcome(oracle.right_lcm, p, q)
+    comparable = 0 if complements is None else sum(
+        S.left_divide(p, q) is not None or S.left_divide(q, p) is not None
+        for p, q in pairs)
+    assert tally["certifications"] and tally[seen]
+    assert (oracle.ball_searches, oracle.complement_searches) == (
+        (tally["searches"], 0) if complements is None
+        else (0, tally["searches"]))
+    assert oracle.comparable == comparable
+    assert oracle.cache_hits == len(pairs) - comparable - tally["searches"]
+    assert oracle.cache_hits > 0
+    for counter in ("certifications", "divisions", "too_small", "disjoint"):
+        assert getattr(oracle, counter) == tally[counter], counter
 
 
 def test_pair_cache_answers_repeats_and_reversals_without_searching():
